@@ -260,7 +260,7 @@ impl AdamEngine {
 
     fn dispatch_inner(&mut self, receiver: Oid, method: &str, args: &[Value]) -> Result<Value> {
         let class = self.kernel.store.class_of(receiver)?;
-        let (_owner, _def, body) =
+        let (_owner, _def, _name, body) =
             self.kernel
                 .methods
                 .resolve(&self.kernel.registry, class, method, args)?;

@@ -159,13 +159,21 @@ impl Database {
 
     /// Begin an explicit transaction.
     pub fn begin(&mut self) -> Result<()> {
-        self.pipeline.begin()?;
-        self.txn_start_clock = self.clock.now();
-        self.engine.begin_capture();
+        self.open_txn()?;
         // Keep the conflict matrix (and the tags the engine stamps onto
         // firings) current before any occurrence of this transaction is
         // scheduled.
         self.refresh_conflict_matrix();
+        Ok(())
+    }
+
+    /// Open a transaction without the user-level bookkeeping of
+    /// [`begin`](Self::begin): the write pipeline plus the engine's
+    /// detector capture. Detached firings run in these, so their aborts
+    /// restore detection state exactly as a user transaction's do.
+    pub(crate) fn open_txn(&mut self) -> Result<()> {
+        self.pipeline.begin()?;
+        self.engine.begin_capture();
         Ok(())
     }
 
@@ -365,7 +373,7 @@ impl Database {
             .hit(Stage::DetachedRun, self.clock.now(), || {
                 f.firing.rule_name.to_string()
             });
-        self.pipeline.begin()?;
+        self.open_txn()?;
         match self.execute_firing(f) {
             Ok(()) => self.commit_internal(),
             Err(_) => {

@@ -20,7 +20,9 @@ use sentinel_object::{
     ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectStore, Oid,
     Reactivity, Result, TypeTag, Value, World,
 };
-use sentinel_rules::{ActionDef, ConflictResolver, EngineStats, Firing, Lineage, RuleEngine};
+use sentinel_rules::{
+    ActionDef, ConflictResolver, EngineStats, Firing, Lineage, ReadyFiring, RuleEngine,
+};
 use sentinel_storage::{LogRecord, UndoOp, Wal};
 use sentinel_telemetry::{FiringRecord, Stage, Telemetry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -93,9 +95,12 @@ pub struct Database {
     pub(crate) config: DbConfig,
     pub(crate) stats: Arc<SharedDbStats>,
     pub(crate) depth: usize,
-    /// Logical-clock value when the active transaction began; abort
-    /// prunes detector state newer than this.
-    pub(crate) txn_start_clock: u64,
+    /// The parameter list of every send that raises no event or passes
+    /// no argument, shared so such sends allocate none for it.
+    pub(crate) no_params: Arc<[Value]>,
+    /// Immediate-firing buffers: each raise borrows one (nested raises
+    /// from rule actions borrow their own) and hands it back cleared.
+    pub(crate) firing_pool: Vec<Vec<ReadyFiring>>,
     /// Run detached firings inline at commit (default); `false` defers
     /// them to an external executor.
     pub(crate) inline_detached: bool,
@@ -279,7 +284,8 @@ impl Database {
             config,
             stats: Arc::new(SharedDbStats::default()),
             depth: 0,
-            txn_start_clock: 0,
+            no_params: Arc::from(Vec::new()),
+            firing_pool: Vec::new(),
             inline_detached: true,
             indexes: Arc::new(RwLock::new(Vec::new())),
             has_indexes: false,
@@ -667,7 +673,7 @@ impl Database {
             format!("{receiver}.{method}")
         });
         let class = self.store.class_of(receiver)?;
-        let (owner, def, body) = self.methods.resolve(&self.registry, class, method, args)?;
+        let (owner, def, name, body) = self.methods.resolve(&self.registry, class, method, args)?;
         // Visibility (paper §1, difference #2): externally initiated
         // sends (depth 1 — `dispatch` already incremented) may only
         // reach public methods. Nested sends from method/rule bodies
@@ -687,12 +693,15 @@ impl Database {
         } else {
             def.events
         };
-        let params: Arc<[Value]> = if espec == EventSpec::None {
-            Arc::from(Vec::new())
+        // Occurrences share the method name interned with the class; a
+        // send that raises nothing, or passes nothing, shares one empty
+        // parameter list.
+        let method_name = name.clone();
+        let params: Arc<[Value]> = if espec == EventSpec::None || args.is_empty() {
+            Arc::clone(&self.no_params)
         } else {
-            Arc::from(args.to_vec())
+            Arc::from(args)
         };
-        let method_name: Arc<str> = Arc::from(method);
 
         if espec.begin() {
             self.raise(
@@ -785,11 +794,21 @@ impl Database {
             let ctx = self.lineage_stack.last().map(|l| (l.id, l.root, l.depth));
             self.engine.set_lineage_context(ctx);
         }
-        let immediate = self.engine.on_occurrence(&self.registry, &occ)?;
-        for f in &immediate {
-            self.execute_firing(f)?;
+        let mut immediate = self.firing_pool.pop().unwrap_or_default();
+        let mut out = self
+            .engine
+            .on_occurrence_into(&self.registry, &occ, &mut immediate);
+        if out.is_ok() {
+            for f in &immediate {
+                out = self.execute_firing(f);
+                if out.is_err() {
+                    break;
+                }
+            }
         }
-        Ok(())
+        immediate.clear();
+        self.firing_pool.push(immediate);
+        out
     }
 
     // ------------------------------------------------------------------

@@ -759,8 +759,7 @@ impl Database {
                             f.firing.rule_name.to_string()
                         });
                     let committed = self
-                        .pipeline
-                        .begin()
+                        .open_txn()
                         .and_then(|_| self.merge_parallel_firing(f, done))
                         .and_then(|_| self.commit_internal());
                     if let Err(e) = committed {

@@ -7,37 +7,39 @@ use crate::occurrence::CompositeOccurrence;
 
 use super::state::{Buffer, Env};
 
-/// Conjunction pairing under each parameter context.
+/// Conjunction pairing under each parameter context: drains the new
+/// left/right operand occurrences `le`/`re` and appends detections to
+/// `out`.
 pub(super) fn pair_and(
     id: u32,
-    le: Vec<CompositeOccurrence>,
-    re: Vec<CompositeOccurrence>,
+    le: &mut Vec<CompositeOccurrence>,
+    re: &mut Vec<CompositeOccurrence>,
     lbuf: &mut Buffer,
     rbuf: &mut Buffer,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
-    let mut out = Vec::new();
+    out: &mut Vec<CompositeOccurrence>,
+) {
     match env.context {
         ParamContext::Unrestricted => {
-            for l in &le {
+            for l in le.iter() {
                 for r in rbuf.items.iter() {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
             }
-            for r in &re {
+            for r in re.iter() {
                 for l in lbuf.items.iter() {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
             }
-            for l in &le {
-                for r in &re {
+            for l in le.iter() {
+                for r in re.iter() {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
             }
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
-            for r in re {
+            for r in re.drain(..) {
                 rbuf.push(id, 1, r, env);
             }
         }
@@ -46,31 +48,29 @@ pub(super) fn pair_and(
             // arrival pairs with the retained occurrence of the opposite
             // side (which is kept — the initiator survives detections);
             // an arrival that finds no partner becomes the retained one.
-            for l in le {
+            for l in le.drain(..) {
                 if let Some(r) = rbuf.items.back() {
                     out.push(CompositeOccurrence::merge(&l, r));
                 } else {
-                    lbuf.clear(id, 0, env);
-                    lbuf.push(id, 0, l, env);
+                    lbuf.retain_only(id, 0, l, env);
                 }
             }
-            for r in re {
+            for r in re.drain(..) {
                 if let Some(l) = lbuf.items.back() {
                     out.push(CompositeOccurrence::merge(l, &r));
                 } else {
-                    rbuf.clear(id, 1, env);
-                    rbuf.push(id, 1, r, env);
+                    rbuf.retain_only(id, 1, r, env);
                 }
             }
         }
         ParamContext::Chronicle => {
-            for l in le {
+            for l in le.drain(..) {
                 match rbuf.pop_front(id, 1, env) {
                     Some(r) => out.push(CompositeOccurrence::merge(&l, &r)),
                     None => lbuf.push(id, 0, l, env),
                 }
             }
-            for r in re {
+            for r in re.drain(..) {
                 match lbuf.pop_front(id, 0, env) {
                     Some(l) => out.push(CompositeOccurrence::merge(&l, &r)),
                     None => rbuf.push(id, 1, r, env),
@@ -82,7 +82,7 @@ pub(super) fn pair_and(
             // an opposite-side arrival terminates them all at once (one
             // detection per initiator) and consumes them. An arrival
             // with no open windows becomes an initiator itself.
-            for l in le {
+            for l in le.drain(..) {
                 if rbuf.len() > 0 {
                     for r in rbuf.items.iter() {
                         out.push(CompositeOccurrence::merge(&l, r));
@@ -92,7 +92,7 @@ pub(super) fn pair_and(
                     lbuf.push(id, 0, l, env);
                 }
             }
-            for r in re {
+            for r in re.drain(..) {
                 if lbuf.len() > 0 {
                     for l in lbuf.items.iter() {
                         out.push(CompositeOccurrence::merge(l, &r));
@@ -104,10 +104,10 @@ pub(super) fn pair_and(
             }
         }
         ParamContext::Cumulative => {
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
-            for r in re {
+            for r in re.drain(..) {
                 rbuf.push(id, 1, r, env);
             }
             if lbuf.len() > 0 && rbuf.len() > 0 {
@@ -119,5 +119,4 @@ pub(super) fn pair_and(
             }
         }
     }
-    out
 }

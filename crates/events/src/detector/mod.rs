@@ -52,7 +52,6 @@ mod temporal;
 mod window;
 
 use crate::algebra::{AggFn, EventExpr};
-use crate::clock::TimeSource;
 use crate::context::ParamContext;
 use crate::occurrence::{CompositeOccurrence, PrimitiveOccurrence};
 use crate::spec::EventModifier;
@@ -98,6 +97,10 @@ pub struct DetectorStats {
     pub dropped: u64,
 }
 
+/// Journal capacity a detector keeps pooled across transactions; a
+/// larger high-water mark (one bulk transaction) is released at its end.
+const JOURNAL_RETAIN: usize = 1024;
+
 /// A compiled, stateful detector for one event expression.
 ///
 /// `Clone` duplicates the full partial-detection state (used by tests to
@@ -108,12 +111,16 @@ pub struct DetectorInstance {
     context: ParamContext,
     caps: DetectorCaps,
     stats: DetectorStats,
-    journal: Option<Vec<JournalEntry>>,
+    /// Undo journal of the transaction in flight. Pooled: a transaction
+    /// end clears it instead of dropping it, so steady-state
+    /// transactions journal into capacity they already own.
+    journal: Vec<JournalEntry>,
+    /// Is a transaction journaling into [`journal`](Self::journal)?
+    in_txn: bool,
+    /// Pooled operand buffers lent to the node recursion (see
+    /// `Env::take_buf`); after warm-up detection allocates nothing here.
+    scratch: Vec<Vec<CompositeOccurrence>>,
     telemetry: Option<Arc<Telemetry>>,
-    /// The instant axis windows are measured on. `None` (unit tests,
-    /// standalone detectors) falls back to each stimulus's seq — i.e.
-    /// logical-mode semantics.
-    time: Option<Arc<TimeSource>>,
     label: Arc<str>,
     /// Registry length the leaf alphabets were computed against. The
     /// registry is append-only, so a length mismatch means classes were
@@ -127,7 +134,7 @@ impl std::fmt::Debug for DetectorInstance {
             .field("context", &self.context)
             .field("stats", &self.stats)
             .field("buffered", &self.buffered())
-            .field("in_txn", &self.journal.is_some())
+            .field("in_txn", &self.in_txn)
             .finish()
     }
 }
@@ -149,9 +156,10 @@ impl DetectorInstance {
             context,
             caps,
             stats: DetectorStats::default(),
-            journal: None,
+            journal: Vec::new(),
+            in_txn: false,
+            scratch: Vec::new(),
             telemetry: None,
-            time: None,
             label: Arc::from(""),
             schema_len: registry.len(),
         })
@@ -162,12 +170,6 @@ impl DetectorInstance {
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, label: impl Into<Arc<str>>) {
         self.telemetry = Some(telemetry);
         self.label = label.into();
-    }
-
-    /// Attach the database's time authority: window edges and epochs are
-    /// then measured on its instant axis instead of the sequence axis.
-    pub fn set_time_source(&mut self, time: Arc<TimeSource>) {
-        self.time = Some(time);
     }
 
     /// Compile with default context and caps.
@@ -183,56 +185,46 @@ impl DetectorInstance {
     /// Feed one primitive occurrence; returns the composite occurrences
     /// of the whole expression completed by it (possibly several under
     /// the unrestricted context, at most one under the restricted ones
-    /// for binary operators).
+    /// for binary operators). The occurrence's seq doubles as its
+    /// instant — logical-mode semantics; the engine, which owns the time
+    /// source, calls [`process_at`](Self::process_at) instead.
     pub fn process(
         &mut self,
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
     ) -> Vec<CompositeOccurrence> {
-        let sym = registry.event_sym(occ.class, &occ.method, occ.modifier.is_end());
-        self.process_resolved(registry, occ, sym)
+        let sym = occ.sym(registry);
+        let mut out = Vec::new();
+        self.process_at(registry, occ, sym, occ.at, &mut out);
+        out
     }
 
-    /// [`process`](Self::process) with the occurrence's interned symbol
-    /// already resolved by the caller (the engine resolves once per event
-    /// and shares the symbol across every notified detector). `None`
-    /// means the occurrence names a method outside the schema — leaves
-    /// then match by the string-compare fallback.
-    pub fn process_resolved(
+    /// Feed one primitive occurrence at instant `now`, appending the
+    /// completed composite occurrences to `out`; returns how many were
+    /// appended. `sym` is the occurrence's interned symbol, resolved
+    /// once by the caller and shared across every notified detector
+    /// (`None` means the occurrence names a method outside the schema —
+    /// leaves then match by the string-compare fallback). `now` is the
+    /// occurrence's position on the instant axis windows are measured
+    /// on; the engine reads it once per occurrence, so every rule the
+    /// occurrence reaches sees the same instant.
+    pub fn process_at(
         &mut self,
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
         sym: Option<EventSym>,
-    ) -> Vec<CompositeOccurrence> {
+        now: u64,
+        out: &mut Vec<CompositeOccurrence>,
+    ) -> usize {
         if self.schema_len != registry.len() {
             self.root.refresh_alphabets(registry);
             self.schema_len = registry.len();
         }
-        self.stats.offered += 1;
         let timer = match &self.telemetry {
             Some(t) => t.timer(),
             None => Timer::off(),
         };
-        let now = match &self.time {
-            Some(t) => t.instant_now(),
-            None => occ.at,
-        };
-        let mut env = Env {
-            registry,
-            sym,
-            context: self.context,
-            caps: self.caps,
-            now,
-            matched: false,
-            dropped: 0,
-            journal: self.journal.as_mut(),
-        };
-        let out = self.root.process(&Stim::Prim(occ), &mut env);
-        if env.matched {
-            self.stats.matched += 1;
-        }
-        self.stats.dropped += env.dropped;
-        self.stats.emitted += out.len() as u64;
+        let emitted = self.run(registry, Stim::Prim(occ), sym, now, out);
         if let Some(tel) = &self.telemetry {
             // The enabled check also guards the `buffered` tree walk, which
             // is not free on deep expressions.
@@ -249,39 +241,56 @@ impl DetectorInstance {
                 );
             }
         }
-        out
+        emitted
     }
 
     /// Deliver one timer fire to the `at`/`every` leaf at `idx` (its
-    /// position in [`EventExpr::timer_specs`] leaf order). `due` is the
-    /// instant the timer came due — windows advance to it — and `seq`
-    /// the fresh logical timestamp the engine assigned to the fire, so
-    /// the tick is totally ordered against event occurrences.
+    /// position in [`EventExpr::timer_specs`] leaf order), appending the
+    /// completions to `out`. `due` is the instant the timer came due —
+    /// windows advance to it — and `seq` the fresh logical timestamp the
+    /// engine assigned to the fire, so the tick is totally ordered
+    /// against event occurrences. Returns how many were appended.
     pub fn process_timer(
         &mut self,
         registry: &ClassRegistry,
         idx: usize,
         due: u64,
         seq: u64,
-    ) -> Vec<CompositeOccurrence> {
+        out: &mut Vec<CompositeOccurrence>,
+    ) -> usize {
+        self.run(registry, Stim::Timer { idx, seq }, None, due, out)
+    }
+
+    /// Drive one stimulus through the node tree at instant `now`.
+    fn run(
+        &mut self,
+        registry: &ClassRegistry,
+        stim: Stim<'_>,
+        sym: Option<EventSym>,
+        now: u64,
+        out: &mut Vec<CompositeOccurrence>,
+    ) -> usize {
         self.stats.offered += 1;
+        let before = out.len();
         let mut env = Env {
             registry,
-            sym: None,
+            sym,
             context: self.context,
             caps: self.caps,
-            now: due,
+            now,
             matched: false,
             dropped: 0,
-            journal: self.journal.as_mut(),
+            journal: self.in_txn.then_some(&mut self.journal),
+            scratch: &mut self.scratch,
         };
-        let out = self.root.process(&Stim::Timer { idx, seq }, &mut env);
+        self.root.process(&stim, &mut env, out);
         if env.matched {
             self.stats.matched += 1;
         }
         self.stats.dropped += env.dropped;
-        self.stats.emitted += out.len() as u64;
-        out
+        let emitted = out.len() - before;
+        self.stats.emitted += emitted as u64;
+        emitted
     }
 
     /// Export the detector's partial-detection state for a checkpoint: a
@@ -309,22 +318,24 @@ impl DetectorInstance {
 
     /// Start journaling state mutations for the enclosing transaction.
     pub fn begin_txn(&mut self) {
-        debug_assert!(self.journal.is_none(), "nested detector transactions");
-        self.journal = Some(Vec::new());
+        debug_assert!(!self.in_txn, "nested detector transactions");
+        debug_assert!(self.journal.is_empty());
+        self.in_txn = true;
     }
 
-    /// The transaction committed: discard the journal.
+    /// The transaction committed: discard the journal's entries.
     pub fn commit_txn(&mut self) {
-        self.journal = None;
+        self.journal.clear();
+        self.end_txn();
     }
 
     /// The transaction aborted: replay the journal in reverse, restoring
     /// exactly the pre-transaction detection state.
     pub fn abort_txn(&mut self) {
-        let Some(journal) = self.journal.take() else {
+        if !self.in_txn {
             return;
-        };
-        for entry in journal.into_iter().rev() {
+        }
+        while let Some(entry) = self.journal.pop() {
             match entry {
                 JournalEntry::Full(node) => {
                     self.root = *node;
@@ -334,11 +345,19 @@ impl DetectorInstance {
                 }
             }
         }
+        self.end_txn();
+    }
+
+    fn end_txn(&mut self) {
+        self.in_txn = false;
+        if self.journal.capacity() > JOURNAL_RETAIN {
+            self.journal.shrink_to(JOURNAL_RETAIN);
+        }
     }
 
     /// Is a journal currently active?
     pub fn in_txn(&self) -> bool {
-        self.journal.is_some()
+        self.in_txn
     }
 
     /// Total occurrences currently buffered across all operator nodes —
@@ -357,17 +376,11 @@ impl DetectorInstance {
     /// journal is active the pre-reset state is recorded so an abort can
     /// restore it.
     pub fn reset(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(JournalEntry::Full(Box::new(self.root.clone())));
+        if self.in_txn {
+            self.journal
+                .push(JournalEntry::Full(Box::new(self.root.clone())));
         }
         self.root.reset();
-    }
-
-    /// Discard partial state involving occurrences newer than `ts` —
-    /// a backstop for abort paths that could not be journaled (e.g. a
-    /// rule created inside the aborted transaction). Not journaled.
-    pub fn prune_newer_than(&mut self, ts: u64) {
-        self.root.prune_newer_than(ts);
     }
 
     /// The parameter context the detector was compiled with.
@@ -635,33 +648,38 @@ impl Node {
         })
     }
 
-    fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>) -> Vec<CompositeOccurrence> {
+    /// Drive one stimulus through this node, appending the composite
+    /// occurrences it completes to `out`. Operand streams of inner nodes
+    /// go through buffers borrowed from the `Env` pool, so steady-state
+    /// detection allocates nothing beyond the occurrences it keeps.
+    fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>, out: &mut Vec<CompositeOccurrence>) {
         match self {
             Node::Primitive {
                 class,
                 method,
                 modifier,
                 alphabet,
-            } => match stim {
-                Stim::Prim(occ) if leaf::matches(env, *class, method, *modifier, alphabet, occ) => {
-                    env.matched = true;
-                    vec![CompositeOccurrence::from_primitive((*occ).clone())]
+            } => {
+                if let Stim::Prim(occ) = stim {
+                    if leaf::matches(env, *class, method, *modifier, alphabet, occ) {
+                        env.matched = true;
+                        out.push(CompositeOccurrence::from_primitive((*occ).clone()));
+                    }
                 }
-                _ => Vec::new(),
-            },
+            }
 
-            Node::At { timer_idx } | Node::Every { timer_idx } => match stim {
-                Stim::Timer { idx, seq } if idx == timer_idx => {
-                    env.matched = true;
-                    vec![temporal::timer_occurrence(*seq)]
+            Node::At { timer_idx } | Node::Every { timer_idx } => {
+                if let Stim::Timer { idx, seq } = stim {
+                    if idx == timer_idx {
+                        env.matched = true;
+                        out.push(temporal::timer_occurrence(*seq));
+                    }
                 }
-                _ => Vec::new(),
-            },
+            }
 
             Node::Or { left, right } => {
-                let mut out = left.process(stim, env);
-                out.extend(right.process(stim, env));
-                out
+                left.process(stim, env, out);
+                right.process(stim, env, out);
             }
 
             Node::And {
@@ -671,9 +689,13 @@ impl Node {
                 lbuf,
                 rbuf,
             } => {
-                let le = left.process(stim, env);
-                let re = right.process(stim, env);
-                pair_and(*id, le, re, lbuf, rbuf, env)
+                let mut le = env.take_buf();
+                left.process(stim, env, &mut le);
+                let mut re = env.take_buf();
+                right.process(stim, env, &mut re);
+                pair_and(*id, &mut le, &mut re, lbuf, rbuf, env, out);
+                env.give_buf(le);
+                env.give_buf(re);
             }
 
             Node::Seq {
@@ -682,9 +704,13 @@ impl Node {
                 right,
                 lbuf,
             } => {
-                let le = left.process(stim, env);
-                let re = right.process(stim, env);
-                pair_seq(*id, le, re, lbuf, env)
+                let mut le = env.take_buf();
+                left.process(stim, env, &mut le);
+                let mut re = env.take_buf();
+                right.process(stim, env, &mut re);
+                pair_seq(*id, &mut le, &re, lbuf, env, out);
+                env.give_buf(le);
+                env.give_buf(re);
             }
 
             Node::Within { child, deadline } => {
@@ -695,11 +721,13 @@ impl Node {
                 if let Some(cut) = temporal::within_cutoff(stim.seq(), deadline) {
                     child.evict_state(cut, true, env);
                 }
-                child
-                    .process(stim, env)
-                    .into_iter()
-                    .filter(|o| temporal::within_span_ok(o, deadline))
-                    .collect()
+                let mut es = env.take_buf();
+                child.process(stim, env, &mut es);
+                out.extend(
+                    es.drain(..)
+                        .filter(|o| temporal::within_span_ok(o, deadline)),
+                );
+                env.give_buf(es);
             }
 
             Node::Window {
@@ -712,7 +740,7 @@ impl Node {
                 if let Some(cut) = window::window_cutoff(marks, env.now, *size, *tumbling) {
                     child.evict_state(cut, false, env);
                 }
-                child.process(stim, env)
+                child.process(stim, env, out);
             }
 
             Node::Aggregate {
@@ -726,11 +754,22 @@ impl Node {
                 epoch,
                 latched,
             } => {
-                let arrivals = child.process(stim, env);
+                let mut arrivals = env.take_buf();
+                child.process(stim, env, &mut arrivals);
                 window::step_aggregate(
-                    *id, arrivals, env.now, *size, *tumbling, *agg, *threshold, wbuf, epoch,
-                    latched, env,
-                )
+                    *id,
+                    &mut arrivals,
+                    *size,
+                    *tumbling,
+                    *agg,
+                    *threshold,
+                    wbuf,
+                    epoch,
+                    latched,
+                    env,
+                    out,
+                );
+                env.give_buf(arrivals);
             }
 
             Node::Any {
@@ -740,30 +779,27 @@ impl Node {
                 latest,
             } => {
                 let id = *id;
-                let mut completed = Vec::new();
                 for (i, child) in children.iter_mut().enumerate() {
-                    let es = child.process(stim, env);
-                    if let Some(e) = es.into_iter().next_back() {
-                        let prev = latest[i].replace(e);
-                        let was_present = prev.is_some();
-                        env.record(id, NodeUndo::SetLatest { i, prev });
-                        if !was_present {
-                            let present = latest.iter().filter(|l| l.is_some()).count();
-                            if present >= *m {
-                                let merged =
-                                    CompositeOccurrence::merge_all(latest.iter().flatten());
-                                for (j, l) in latest.iter_mut().enumerate() {
-                                    let prev = l.take();
-                                    if prev.is_some() {
-                                        env.record(id, NodeUndo::SetLatest { i: j, prev });
-                                    }
+                    let Some(e) = env.drive(child, stim, Vec::pop) else {
+                        continue;
+                    };
+                    let prev = latest[i].replace(e);
+                    let was_present = prev.is_some();
+                    env.record(id, NodeUndo::SetLatest { i, prev });
+                    if !was_present {
+                        let present = latest.iter().filter(|l| l.is_some()).count();
+                        if present >= *m {
+                            let merged = CompositeOccurrence::merge_all(latest.iter().flatten());
+                            for (j, l) in latest.iter_mut().enumerate() {
+                                let prev = l.take();
+                                if prev.is_some() {
+                                    env.record(id, NodeUndo::SetLatest { i: j, prev });
                                 }
-                                completed.push(merged);
                             }
+                            out.push(merged);
                         }
                     }
                 }
-                completed
             }
 
             Node::Not {
@@ -777,13 +813,13 @@ impl Node {
                 let id = *id;
                 // Deterministic intra-occurrence ordering: close windows
                 // first, then record violations, then open new windows.
-                let ee = end.process(stim, env);
-                let mut out = Vec::new();
-                if let Some(e) = ee.into_iter().next() {
+                if let Some(e) =
+                    env.drive(end, stim, |es| (!es.is_empty()).then(|| es.swap_remove(0)))
+                {
                     let prev_open = open.take();
-                    if let Some(s) = prev_open.clone() {
+                    if let Some(s) = prev_open.as_ref() {
                         if !*violated {
-                            out.push(CompositeOccurrence::merge(&s, &e));
+                            out.push(CompositeOccurrence::merge(s, &e));
                         }
                     }
                     env.record(id, NodeUndo::SetOpen { prev: prev_open });
@@ -792,11 +828,11 @@ impl Node {
                         *violated = false;
                     }
                 }
-                if open.is_some() && !watch.process(stim, env).is_empty() && !*violated {
+                if open.is_some() && env.drive(watch, stim, |es| !es.is_empty()) && !*violated {
                     env.record(id, NodeUndo::SetViolated { prev: false });
                     *violated = true;
                 }
-                if let Some(s) = start.process(stim, env).into_iter().next_back() {
+                if let Some(s) = env.drive(start, stim, Vec::pop) {
                     let prev = open.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                     if *violated {
@@ -804,7 +840,6 @@ impl Node {
                         *violated = false;
                     }
                 }
-                out
             }
 
             Node::Aperiodic {
@@ -815,30 +850,29 @@ impl Node {
                 open,
             } => {
                 let id = *id;
-                if !end.process(stim, env).is_empty() && open.is_some() {
+                if env.drive(end, stim, |es| !es.is_empty()) && open.is_some() {
                     let prev = open.take();
                     env.record(id, NodeUndo::SetOpen { prev });
                 }
-                let mut out = Vec::new();
+                // The child is driven even with no window open, so its
+                // own state stays fresh.
+                let mut es = env.take_buf();
+                each.process(stim, env, &mut es);
                 if let Some(s) = open.as_ref() {
-                    for e in each.process(stim, env) {
-                        out.push(CompositeOccurrence::merge(s, &e));
-                    }
-                } else {
-                    // Still drive the child so its own state stays fresh.
-                    let _ = each.process(stim, env);
+                    out.extend(es.iter().map(|e| CompositeOccurrence::merge(s, e)));
                 }
-                if let Some(s) = start.process(stim, env).into_iter().next_back() {
+                env.give_buf(es);
+                if let Some(s) = env.drive(start, stim, Vec::pop) {
                     let prev = open.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                 }
-                out
             }
 
             Node::Times { id, n, child, buf } => {
                 let id = *id;
-                let mut out = Vec::new();
-                for e in child.process(stim, env) {
+                let mut es = env.take_buf();
+                child.process(stim, env, &mut es);
+                for e in es.drain(..) {
                     buf.push(id, 0, e, env);
                     if buf.len() >= *n {
                         let merged = CompositeOccurrence::merge_all(buf.items.iter());
@@ -846,7 +880,7 @@ impl Node {
                         out.push(merged);
                     }
                 }
-                out
+                env.give_buf(es);
             }
 
             Node::Plus {
@@ -859,7 +893,6 @@ impl Node {
                 // Deadlines are checked against the *current* stimulus's
                 // timestamp first (lazy timer), then new bases enqueue.
                 let at = stim.seq();
-                let mut out = Vec::new();
                 while pending
                     .items
                     .front()
@@ -868,15 +901,17 @@ impl Node {
                 {
                     let base = pending.pop_front(id, 0, env).expect("checked non-empty");
                     out.push(CompositeOccurrence {
-                        constituents: base.constituents.clone(),
+                        constituents: base.constituents,
                         start: base.start,
                         end: at,
                     });
                 }
-                for e in child.process(stim, env) {
+                let mut es = env.take_buf();
+                child.process(stim, env, &mut es);
+                for e in es.drain(..) {
                     pending.push(id, 0, e, env);
                 }
-                out
+                env.give_buf(es);
             }
         }
     }
@@ -1210,93 +1245,6 @@ impl Node {
             Node::At { .. } | Node::Every { .. } => 0,
             Node::Within { child, .. } | Node::Window { child, .. } => child.buffered(),
             Node::Aggregate { child, wbuf, .. } => child.buffered() + wbuf.len(),
-        }
-    }
-
-    fn prune_newer_than(&mut self, ts: u64) {
-        match self {
-            Node::Primitive { .. } => {}
-            Node::Or { left, right } => {
-                left.prune_newer_than(ts);
-                right.prune_newer_than(ts);
-            }
-            Node::And {
-                left,
-                right,
-                lbuf,
-                rbuf,
-                ..
-            } => {
-                left.prune_newer_than(ts);
-                right.prune_newer_than(ts);
-                lbuf.items.retain(|o| o.end <= ts);
-                rbuf.items.retain(|o| o.end <= ts);
-            }
-            Node::Seq {
-                left, right, lbuf, ..
-            } => {
-                left.prune_newer_than(ts);
-                right.prune_newer_than(ts);
-                lbuf.items.retain(|o| o.end <= ts);
-            }
-            Node::Any {
-                children, latest, ..
-            } => {
-                for c in children {
-                    c.prune_newer_than(ts);
-                }
-                for l in latest {
-                    if l.as_ref().map(|o| o.end > ts).unwrap_or(false) {
-                        *l = None;
-                    }
-                }
-            }
-            Node::Not {
-                watch,
-                start,
-                end,
-                open,
-                violated,
-                ..
-            } => {
-                watch.prune_newer_than(ts);
-                start.prune_newer_than(ts);
-                end.prune_newer_than(ts);
-                if open.as_ref().map(|o| o.end > ts).unwrap_or(false) {
-                    *open = None;
-                    *violated = false;
-                }
-            }
-            Node::Aperiodic {
-                start,
-                each,
-                end,
-                open,
-                ..
-            } => {
-                start.prune_newer_than(ts);
-                each.prune_newer_than(ts);
-                end.prune_newer_than(ts);
-                if open.as_ref().map(|o| o.end > ts).unwrap_or(false) {
-                    *open = None;
-                }
-            }
-            Node::Times { child, buf, .. } => {
-                child.prune_newer_than(ts);
-                buf.items.retain(|o| o.end <= ts);
-            }
-            Node::Plus { child, pending, .. } => {
-                child.prune_newer_than(ts);
-                pending.items.retain(|o| o.end <= ts);
-            }
-            Node::At { .. } | Node::Every { .. } => {}
-            Node::Within { child, .. } | Node::Window { child, .. } => {
-                child.prune_newer_than(ts);
-            }
-            Node::Aggregate { child, wbuf, .. } => {
-                child.prune_newer_than(ts);
-                wbuf.retain(|(_, o)| o.end <= ts);
-            }
         }
     }
 
@@ -1747,7 +1695,7 @@ mod tests {
         let o = occ(&reg, 3, "Late", "SetPrice");
         let sym = o.sym(&reg);
         assert!(sym.is_some());
-        assert_eq!(d.process_resolved(&reg, &o, sym).len(), 1);
+        assert_eq!(d.process_at(&reg, &o, sym, o.at, &mut Vec::new()), 1);
     }
 
     #[test]
@@ -2152,11 +2100,7 @@ mod tests {
         }
         d.begin_txn();
         d.process(&reg, &occ(&reg, 2000, "Stock", "SetPrice"));
-        assert_eq!(
-            d.journal.as_ref().map(|j| j.len()),
-            Some(1),
-            "one journal marker for one append"
-        );
+        assert_eq!(d.journal.len(), 1, "one journal marker for one append");
         d.commit_txn();
     }
 }
@@ -2361,13 +2305,52 @@ mod temporal_op_tests {
         EventExpr::primitive(P::end("C", m))
     }
 
+    fn tick(
+        d: &mut DetectorInstance,
+        reg: &ClassRegistry,
+        idx: usize,
+        due: u64,
+        seq: u64,
+    ) -> Vec<CompositeOccurrence> {
+        let mut out = Vec::new();
+        d.process_timer(reg, idx, due, seq, &mut out);
+        out
+    }
+
+    #[test]
+    fn one_explicit_instant_gives_every_detector_the_same_window() {
+        // The engine reads the instant once per occurrence and hands it
+        // to every notified detector. Two detectors fed the same stream
+        // at the same explicit instants evict identically — even though
+        // the instants run ahead of the occurrences' seqs, which a
+        // per-detector clock read could not promise.
+        let reg = registry();
+        let expr = leaf("m").count_within(10, 3);
+        let mut a = DetectorInstance::compile_default(&expr, &reg).unwrap();
+        let mut b = a.clone();
+        let mut out = Vec::new();
+        for (seq, instant) in [(1, 100), (2, 105), (3, 109), (4, 116), (5, 130)] {
+            let o = occ(&reg, seq, "m");
+            let sym = o.sym(&reg);
+            let fa = a.process_at(&reg, &o, sym, instant, &mut out);
+            let fb = b.process_at(&reg, &o, sym, instant, &mut out);
+            assert_eq!(fa, fb, "same completions at instant {instant}");
+            assert_eq!(a.buffered(), b.buffered(), "same window at {instant}");
+        }
+        // 100, 105, 109 crossed the threshold once (per detector); by 130
+        // only 130 itself is left in (120, 130] — eviction followed the
+        // instants, not the seqs.
+        assert_eq!(out.len(), 2);
+        assert_eq!(a.buffered(), 1);
+    }
+
     #[test]
     fn at_timer_fires_only_via_the_timer_path() {
         let reg = registry();
         let mut d = DetectorInstance::compile_default(&EventExpr::at(5), &reg).unwrap();
         // Primitive occurrences never match a timer leaf.
         assert!(d.process(&reg, &occ(&reg, 1, "m")).is_empty());
-        let got = d.process_timer(&reg, 0, 5, 2);
+        let got = tick(&mut d, &reg, 0, 5, 2);
         assert_eq!(got.len(), 1);
         assert!(got[0].constituents.is_empty(), "a tick has no parameters");
         assert_eq!((got[0].start, got[0].end), (2, 2));
@@ -2381,12 +2364,12 @@ mod temporal_op_tests {
         let expr = leaf("m").then(EventExpr::every(10));
         let mut d = DetectorInstance::compile_default(&expr, &reg).unwrap();
         d.process(&reg, &occ(&reg, 5, "m"));
-        let got = d.process_timer(&reg, 0, 10, 6);
+        let got = tick(&mut d, &reg, 0, 10, 6);
         assert_eq!(got.len(), 1);
         assert_eq!((got[0].start, got[0].end), (5, 6));
         assert_eq!(got[0].constituents.len(), 1, "only the event constituent");
         // A fire addressed to a different leaf index is ignored.
-        assert!(d.process_timer(&reg, 1, 20, 7).is_empty());
+        assert!(tick(&mut d, &reg, 1, 20, 7).is_empty());
     }
 
     #[test]
@@ -2402,10 +2385,10 @@ mod temporal_op_tests {
         .unwrap();
         d.process(&reg, &occ(&reg, 1, "m"));
         d.begin_txn();
-        assert_eq!(d.process_timer(&reg, 0, 5, 2).len(), 1);
+        assert_eq!(tick(&mut d, &reg, 0, 5, 2).len(), 1);
         d.abort_txn();
         // The consumed left is re-armed: the next fire pairs again.
-        assert_eq!(d.process_timer(&reg, 0, 10, 3).len(), 1);
+        assert_eq!(tick(&mut d, &reg, 0, 10, 3).len(), 1);
     }
 
     #[test]

@@ -8,45 +8,46 @@ use super::state::{Buffer, Env, NodeUndo};
 
 /// Sequence pairing under each parameter context. Only left-side
 /// occurrences are buffered; a right occurrence that finds no earlier
-/// left can never participate later and is discarded.
+/// left can never participate later and is discarded. Drains the new
+/// left occurrences `le`, pairs the new right ones `re`, and appends
+/// detections to `out`.
 pub(super) fn pair_seq(
     id: u32,
-    le: Vec<CompositeOccurrence>,
-    re: Vec<CompositeOccurrence>,
+    le: &mut Vec<CompositeOccurrence>,
+    re: &[CompositeOccurrence],
     lbuf: &mut Buffer,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
-    let mut out = Vec::new();
+    out: &mut Vec<CompositeOccurrence>,
+) {
     match env.context {
         ParamContext::Unrestricted => {
-            for r in &re {
+            for r in re.iter() {
                 for l in lbuf.items.iter().filter(|l| l.end < r.start) {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
             }
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
         }
         ParamContext::Recent => {
-            for r in &re {
+            for r in re.iter() {
                 if let Some(l) = lbuf.items.back().filter(|l| l.end < r.start) {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
             }
-            for l in le {
-                lbuf.clear(id, 0, env);
-                lbuf.push(id, 0, l, env);
+            for l in le.drain(..) {
+                lbuf.retain_only(id, 0, l, env);
             }
         }
         ParamContext::Chronicle => {
-            for r in &re {
+            for r in re.iter() {
                 if lbuf.items.front().map(|l| l.end < r.start).unwrap_or(false) {
                     let l = lbuf.pop_front(id, 0, env).expect("checked non-empty");
                     out.push(CompositeOccurrence::merge(&l, r));
                 }
             }
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
         }
@@ -54,7 +55,7 @@ pub(super) fn pair_seq(
             // Each buffered left is an open initiator; a right
             // terminates every strictly earlier one (one detection per
             // initiator) and consumes them.
-            for r in &re {
+            for r in re.iter() {
                 if lbuf.items.iter().any(|l| l.end < r.start) {
                     for l in lbuf.items.iter().filter(|l| l.end < r.start) {
                         out.push(CompositeOccurrence::merge(l, r));
@@ -71,22 +72,17 @@ pub(super) fn pair_seq(
                     lbuf.items.retain(|l| l.end >= r.start);
                 }
             }
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
         }
         ParamContext::Cumulative => {
-            for r in &re {
-                let eligible: Vec<_> = lbuf
-                    .items
-                    .iter()
-                    .filter(|l| l.end < r.start)
-                    .cloned()
-                    .collect();
-                if !eligible.is_empty() {
-                    let mut merged = CompositeOccurrence::merge_all(eligible.iter());
-                    merged = CompositeOccurrence::merge(&merged, r);
-                    out.push(merged);
+            for r in re.iter() {
+                if lbuf.items.iter().any(|l| l.end < r.start) {
+                    let eligible = CompositeOccurrence::merge_all(
+                        lbuf.items.iter().filter(|l| l.end < r.start),
+                    );
+                    out.push(CompositeOccurrence::merge(&eligible, r));
                     // Journal the pre-retain contents, then consume the
                     // eligible prefix.
                     if env.journaling() {
@@ -101,10 +97,9 @@ pub(super) fn pair_seq(
                     lbuf.items.retain(|l| l.end >= r.start);
                 }
             }
-            for l in le {
+            for l in le.drain(..) {
                 lbuf.push(id, 0, l, env);
             }
         }
     }
-    out
 }

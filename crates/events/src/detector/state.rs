@@ -40,6 +40,9 @@ pub(super) type WindowBuf = VecDeque<(u64, CompositeOccurrence)>;
 pub(super) enum NodeUndo {
     /// Undo an append to a buffer side.
     PopBack { side: u8 },
+    /// Undo an in-place replacement of a buffer side's retained
+    /// occurrence (the `Recent` context keeps only the newest).
+    ReplaceBack { side: u8, prev: CompositeOccurrence },
     /// Undo a consumption (or cap-drop) from the front of a buffer side.
     PushFront { side: u8, occ: CompositeOccurrence },
     /// Undo a clear/retain of a whole buffer side.
@@ -102,6 +105,8 @@ pub(super) struct Env<'a> {
     pub(super) matched: bool,
     pub(super) dropped: u64,
     pub(super) journal: Option<&'a mut Vec<JournalEntry>>,
+    /// The detector's pool of operand buffers (see [`take_buf`](Self::take_buf)).
+    pub(super) scratch: &'a mut Vec<Vec<CompositeOccurrence>>,
 }
 
 impl Env<'_> {
@@ -115,6 +120,35 @@ impl Env<'_> {
     #[inline]
     pub(super) fn journaling(&self) -> bool {
         self.journal.is_some()
+    }
+
+    /// Borrow an empty operand buffer from the pool; hand it back with
+    /// [`give_buf`](Self::give_buf) so its capacity serves the next
+    /// stimulus.
+    #[inline]
+    pub(super) fn take_buf(&mut self) -> Vec<CompositeOccurrence> {
+        self.scratch.pop().unwrap_or_default()
+    }
+
+    #[inline]
+    pub(super) fn give_buf(&mut self, mut buf: Vec<CompositeOccurrence>) {
+        buf.clear();
+        self.scratch.push(buf);
+    }
+
+    /// Drive `node` into a pooled buffer and return what `pick` takes
+    /// from its emissions (the buffer goes back to the pool).
+    pub(super) fn drive<R>(
+        &mut self,
+        node: &mut Node,
+        stim: &Stim<'_>,
+        pick: impl FnOnce(&mut Vec<CompositeOccurrence>) -> R,
+    ) -> R {
+        let mut es = self.take_buf();
+        node.process(stim, self, &mut es);
+        let picked = pick(&mut es);
+        self.give_buf(es);
+        picked
     }
 }
 
@@ -141,6 +175,27 @@ impl Buffer {
         }
         self.items.push_back(occ);
         env.record(node, NodeUndo::PopBack { side });
+    }
+
+    /// Make `occ` the side's only occurrence (the `Recent` context). A
+    /// retained occurrence is replaced in place and journaled as one
+    /// [`NodeUndo::ReplaceBack`], so the steady state neither frees nor
+    /// regrows the side's storage.
+    pub(super) fn retain_only(
+        &mut self,
+        node: u32,
+        side: u8,
+        occ: CompositeOccurrence,
+        env: &mut Env<'_>,
+    ) {
+        if self.items.len() == 1 {
+            let back = self.items.back_mut().expect("one retained occurrence");
+            let prev = std::mem::replace(back, occ);
+            env.record(node, NodeUndo::ReplaceBack { side, prev });
+        } else {
+            self.clear(node, side, env);
+            self.push(node, side, occ, env);
+        }
     }
 
     /// Consume from the front; journals the consumption.
@@ -212,6 +267,7 @@ pub(super) fn evict_buffer(
 pub(super) fn apply_buffer_undo(undo: NodeUndo, lbuf: &mut Buffer, rbuf: Option<&mut Buffer>) {
     let side_of = |undo: &NodeUndo| match undo {
         NodeUndo::PopBack { side }
+        | NodeUndo::ReplaceBack { side, .. }
         | NodeUndo::PushFront { side, .. }
         | NodeUndo::RestoreSide { side, .. } => Some(*side),
         _ => None,
@@ -227,6 +283,11 @@ pub(super) fn apply_buffer_undo(undo: NodeUndo, lbuf: &mut Buffer, rbuf: Option<
     match undo {
         NodeUndo::PopBack { .. } => {
             buf.items.pop_back();
+        }
+        NodeUndo::ReplaceBack { prev, .. } => {
+            if let Some(back) = buf.items.back_mut() {
+                *back = prev;
+            }
         }
         NodeUndo::PushFront { occ, .. } => {
             buf.items.push_front(occ);

@@ -109,13 +109,12 @@ pub(super) fn window_cutoff(
 }
 
 /// One aggregate step: roll/evict the window to `now`, absorb the
-/// operand's new occurrences, evaluate, and emit on an unlatched
-/// threshold crossing.
+/// operand's new occurrences (draining `arrivals`), evaluate, and emit
+/// into `out` on an unlatched threshold crossing.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn step_aggregate(
     id: u32,
-    arrivals: Vec<CompositeOccurrence>,
-    now: u64,
+    arrivals: &mut Vec<CompositeOccurrence>,
     size: u64,
     tumbling: bool,
     agg: AggFn,
@@ -124,7 +123,9 @@ pub(super) fn step_aggregate(
     epoch: &mut u64,
     latched: &mut bool,
     env: &mut Env<'_>,
-) -> Vec<CompositeOccurrence> {
+    out: &mut Vec<CompositeOccurrence>,
+) {
+    let now = env.now;
     if tumbling {
         let cur = now / size.max(1);
         if cur != *epoch {
@@ -159,12 +160,11 @@ pub(super) fn step_aggregate(
             }
         }
     }
-    for a in arrivals {
+    for a in arrivals.drain(..) {
         wbuf.push_back((now, a));
         env.record(id, NodeUndo::PopWindowBack);
     }
     let value = eval(agg, wbuf);
-    let mut out = Vec::new();
     if value >= threshold && !wbuf.is_empty() {
         if !*latched {
             env.record(id, NodeUndo::SetLatched { prev: false });
@@ -175,7 +175,6 @@ pub(super) fn step_aggregate(
         env.record(id, NodeUndo::SetLatched { prev: true });
         *latched = false;
     }
-    out
 }
 
 /// Evaluate the aggregate over the current window contents.

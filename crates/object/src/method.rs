@@ -11,26 +11,28 @@
 //! the paper's C++ member functions.
 
 use crate::error::{ObjectError, Result};
+use crate::hash::FastMap;
 use crate::schema::{ClassId, ClassRegistry, MethodDef};
 use crate::value::Value;
 use crate::world::World;
 use crate::Oid;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A native method body.
 pub type NativeFn = Arc<dyn Fn(&mut dyn World, Oid, &[Value]) -> Result<Value> + Send + Sync>;
 
 /// Registry of method bodies, keyed by defining class and method name.
+/// Nested per class so a lookup borrows the method name (`&str`)
+/// instead of building an owned key.
 #[derive(Default, Clone)]
 pub struct MethodTable {
-    impls: HashMap<(ClassId, String), NativeFn>,
+    impls: FastMap<ClassId, FastMap<String, NativeFn>>,
 }
 
 impl std::fmt::Debug for MethodTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MethodTable")
-            .field("implementations", &self.impls.len())
+            .field("implementations", &self.len())
             .finish()
     }
 }
@@ -47,7 +49,10 @@ impl MethodTable {
     where
         F: Fn(&mut dyn World, Oid, &[Value]) -> Result<Value> + Send + Sync + 'static,
     {
-        self.impls.insert((class, method.into()), Arc::new(body));
+        self.impls
+            .entry(class)
+            .or_default()
+            .insert(method.into(), Arc::new(body));
     }
 
     /// Register a trivial setter body: `method(x)` stores `x` into `attr`.
@@ -72,20 +77,21 @@ impl MethodTable {
 
     /// Look up the body for an already-resolved `(owner, method)` pair.
     pub fn body(&self, owner: ClassId, method: &str) -> Option<&NativeFn> {
-        self.impls.get(&(owner, method.to_string()))
+        self.impls.get(&owner)?.get(method)
     }
 
     /// Resolve a message against the schema and fetch the body, checking
-    /// arity. Returns the defining class, the method definition, and the
-    /// body. This is the common half of every engine's dispatch path.
+    /// arity. Returns the defining class, the method definition, the
+    /// method's interned name, and the body. This is the common half of
+    /// every engine's dispatch path, and allocates nothing on success.
     pub fn resolve<'r>(
         &self,
         registry: &'r ClassRegistry,
         class: ClassId,
         method: &str,
         args: &[Value],
-    ) -> Result<(ClassId, &'r MethodDef, NativeFn)> {
-        let (owner, def) = registry.resolve_method(class, method)?;
+    ) -> Result<(ClassId, &'r MethodDef, &'r Arc<str>, NativeFn)> {
+        let (owner, def, name) = registry.resolve_method_named(class, method)?;
         if def.params.len() != args.len() {
             return Err(ObjectError::ArityMismatch {
                 method: method.to_string(),
@@ -101,20 +107,18 @@ impl MethodTable {
                 });
             }
         }
-        let body = self
-            .impls
-            .get(&(owner, method.to_string()))
-            .cloned()
-            .ok_or_else(|| ObjectError::MissingImplementation {
+        let body = self.body(owner, method).cloned().ok_or_else(|| {
+            ObjectError::MissingImplementation {
                 class: registry.get(owner).name.clone(),
                 method: method.to_string(),
-            })?;
-        Ok((owner, def, body))
+            }
+        })?;
+        Ok((owner, def, name, body))
     }
 
     /// Number of registered bodies.
     pub fn len(&self) -> usize {
-        self.impls.len()
+        self.impls.values().map(FastMap::len).sum()
     }
 
     /// True when no bodies are registered.
@@ -161,7 +165,7 @@ mod tests {
         }
         fn send(&mut self, receiver: Oid, method: &str, args: &[Value]) -> Result<Value> {
             let class = self.store.class_of(receiver)?;
-            let (_, _, body) = self.methods.resolve(&self.registry, class, method, args)?;
+            let (_, _, _, body) = self.methods.resolve(&self.registry, class, method, args)?;
             self.clock += 1;
             body(self, receiver, args)
         }
@@ -269,7 +273,7 @@ mod tests {
         w.send(mike, "Set-Salary", &[Value::Float(9.0)]).unwrap();
         assert_eq!(w.send(mike, "Get-Salary", &[]).unwrap(), Value::Float(9.0));
         // The resolved owner is Employee.
-        let (owner, _, _) = w
+        let (owner, _, _, _) = w
             .methods
             .resolve(&w.registry, mgr, "Set-Salary", &[Value::Float(1.0)])
             .unwrap();

@@ -23,6 +23,7 @@ use crate::hash::FastMap;
 use crate::value::{TypeTag, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a class inside a [`ClassRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -309,6 +310,9 @@ pub struct ClassDef {
     pub own_attributes: Vec<AttributeDef>,
     /// Methods introduced (or overridden) by this class.
     pub own_methods: Vec<MethodDef>,
+    /// `own_methods`' names, interned once at definition: occurrences
+    /// share them instead of copying the name per send.
+    method_names: Vec<Arc<str>>,
     /// C3 linearization, starting with this class.
     pub linearization: Vec<ClassId>,
     /// Effective instance layout: all slots, inherited first (base-to-
@@ -513,6 +517,11 @@ impl ClassRegistry {
             parents: parent_ids,
             reactivity,
             own_attributes: decl.attributes,
+            method_names: decl
+                .methods
+                .iter()
+                .map(|m| Arc::from(m.name.as_str()))
+                .collect(),
             own_methods: decl.methods,
             linearization,
             layout,
@@ -570,9 +579,23 @@ impl ClassRegistry {
     /// Resolve a method on `class`, returning the defining class and the
     /// definition. Follows the C3 linearization (most derived wins).
     pub fn resolve_method(&self, class: ClassId, method: &str) -> Result<(ClassId, &MethodDef)> {
+        self.resolve_method_named(class, method)
+            .map(|(owner, def, _)| (owner, def))
+    }
+
+    /// [`resolve_method`](Self::resolve_method), plus the method's name
+    /// as interned when its defining class was defined.
+    pub fn resolve_method_named(
+        &self,
+        class: ClassId,
+        method: &str,
+    ) -> Result<(ClassId, &MethodDef, &Arc<str>)> {
         let c = self.get(class);
         match c.method_index.get(method) {
-            Some(&(owner, idx)) => Ok((owner, &self.get(owner).own_methods[idx])),
+            Some(&(owner, idx)) => {
+                let o = self.get(owner);
+                Ok((owner, &o.own_methods[idx], &o.method_names[idx]))
+            }
             None => Err(ObjectError::UnknownMethod {
                 class: c.name.clone(),
                 method: method.to_string(),

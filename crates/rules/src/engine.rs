@@ -14,9 +14,10 @@ use crate::coupling::CouplingMode;
 use crate::rule::{Rule, RuleDef, RuleId, RuleStats};
 use crate::subscription::SubscriptionManager;
 use sentinel_events::{
-    DetectorCaps, PrimitiveOccurrence, TimeSource, TimerId, TimerRow, TimerWheel,
+    CompositeOccurrence, DetectorCaps, PrimitiveOccurrence, TimeSource, TimerId, TimerRow,
+    TimerWheel,
 };
-use sentinel_object::{ClassId, ClassRegistry, EventSym, ObjectError, Oid, Result};
+use sentinel_object::{ClassId, ClassRegistry, EventSym, FastMap, ObjectError, Oid, Result};
 use sentinel_telemetry::{
     FiringCoupling, FiringId, FiringOutcome, FiringRecord, Stage, Telemetry, Timer,
 };
@@ -167,16 +168,16 @@ struct RoutingIndex {
     /// Engine epoch (rule add/remove/enable/disable) at build time.
     epoch: u64,
     /// Instance subscriptions of symbol-bounded rules.
-    by_object: HashMap<(Oid, EventSym), Vec<RuleId>>,
+    by_object: FastMap<(Oid, EventSym), Vec<RuleId>>,
     /// Instance subscriptions of unbounded (broad) rules.
-    broad_by_object: HashMap<Oid, Vec<RuleId>>,
+    broad_by_object: FastMap<Oid, Vec<RuleId>>,
     /// Class subscriptions of symbol-bounded rules. A symbol names its
     /// dynamic class, so subclass closure is resolved at build time and
     /// dispatch is a single lookup — no linearization walk.
-    by_class_sym: HashMap<EventSym, Vec<RuleId>>,
+    by_class_sym: FastMap<EventSym, Vec<RuleId>>,
     /// Class subscriptions of unbounded rules, looked up along the
     /// occurrence's class linearization (only when non-empty).
-    broad_by_class: HashMap<ClassId, Vec<RuleId>>,
+    broad_by_class: FastMap<ClassId, Vec<RuleId>>,
 }
 
 impl RoutingIndex {
@@ -272,7 +273,7 @@ fn route_ready(
 
 /// Detection and scheduling for a set of first-class rules.
 pub struct RuleEngine {
-    rules: HashMap<RuleId, Rule>,
+    rules: FastMap<RuleId, Rule>,
     by_name: HashMap<String, RuleId>,
     by_oid: HashMap<Oid, RuleId>,
     /// Named condition/action bodies (the PMF analog).
@@ -302,11 +303,18 @@ pub struct RuleEngine {
     /// Bumped on rule add/remove/enable/disable — the rule-side half of
     /// the routing index's validity stamp.
     epoch: u64,
+    /// Is a transaction capturing detector mutations (between
+    /// [`begin_capture`](Self::begin_capture) and its commit/abort)?
+    capturing: bool,
     /// Rules whose detectors have an undo journal open for the
-    /// transaction in flight: a rule joins the set (and its journal
-    /// starts) the first time it receives an occurrence after
-    /// [`begin_capture`](Self::begin_capture).
-    capture: Option<std::collections::HashSet<RuleId>>,
+    /// transaction in flight: a rule joins the list (and its journal
+    /// starts) the first time its detector is touched while capturing.
+    /// `DetectorInstance::in_txn` is the membership test, so the list
+    /// needs no hashing; it is reused across transactions.
+    capture: Vec<RuleId>,
+    /// Completions of the detector being delivered to, reused across
+    /// notifications.
+    completions: Vec<CompositeOccurrence>,
     telemetry: Option<Arc<Telemetry>>,
     /// Causal context for firings scheduled by the next occurrence:
     /// `(parent firing id, root occurrence, parent depth)`. Set by the
@@ -349,7 +357,7 @@ impl RuleEngine {
     /// An empty engine with the built-in bodies and FIFO resolution.
     pub fn new() -> Self {
         RuleEngine {
-            rules: HashMap::new(),
+            rules: FastMap::default(),
             by_name: HashMap::new(),
             by_oid: HashMap::new(),
             bodies: RuleBodyRegistry::new(),
@@ -367,7 +375,9 @@ impl RuleEngine {
             routing: None,
             routing_enabled: true,
             epoch: 0,
-            capture: None,
+            capturing: false,
+            capture: Vec::new(),
+            completions: Vec::new(),
             telemetry: None,
             lineage_ctx: None,
             conflict_tags: None,
@@ -377,12 +387,10 @@ impl RuleEngine {
         }
     }
 
-    /// Install the time source: every existing rule's detector (and
-    /// every rule added later) reads window instants from it.
+    /// Install the time source. Each occurrence's instant is read from
+    /// it once and handed to every detector the occurrence reaches, so
+    /// window and aggregate nodes of different rules agree on "now".
     pub fn set_time_source(&mut self, time: Arc<TimeSource>) {
-        for rule in self.rules.values_mut() {
-            rule.detector.set_time_source(time.clone());
-        }
         self.time = Some(time);
     }
 
@@ -444,28 +452,26 @@ impl RuleEngine {
     /// occurrences a rolled-back detection consumed. Journaling costs
     /// O(1) per state mutation, independent of buffered-state size.
     pub fn begin_capture(&mut self) {
-        self.capture = Some(std::collections::HashSet::new());
+        self.capturing = true;
         self.detached_floor = self.detached.len();
     }
 
     /// Transaction committed: close the journals.
     pub fn commit_capture(&mut self) {
-        if let Some(touched) = self.capture.take() {
-            for rid in touched {
-                if let Some(rule) = self.rules.get_mut(&rid) {
-                    rule.detector.commit_txn();
-                }
+        self.capturing = false;
+        for rid in self.capture.drain(..) {
+            if let Some(rule) = self.rules.get_mut(&rid) {
+                rule.detector.commit_txn();
             }
         }
     }
 
     /// Transaction aborted: roll every touched rule's detector back.
     pub fn abort_capture(&mut self) {
-        if let Some(touched) = self.capture.take() {
-            for rid in touched {
-                if let Some(rule) = self.rules.get_mut(&rid) {
-                    rule.detector.abort_txn();
-                }
+        self.capturing = false;
+        for rid in self.capture.drain(..) {
+            if let Some(rule) = self.rules.get_mut(&rid) {
+                rule.detector.abort_txn();
             }
         }
     }
@@ -526,9 +532,6 @@ impl RuleEngine {
         rule.bodies_version = self.bodies.version();
         if let Some(tel) = &self.telemetry {
             rule.detector.set_telemetry(tel.clone(), name.as_str());
-        }
-        if let Some(time) = &self.time {
-            rule.detector.set_time_source(time.clone());
         }
         self.rules.insert(id, rule);
         self.by_name.insert(name, id);
@@ -661,9 +664,18 @@ impl RuleEngine {
 
     /// Disable a rule: it stops receiving and recording events, its
     /// partial detector state is discarded, and its timers stop firing.
+    /// Inside a capture the discard is journaled like any detector
+    /// mutation, so an abort restores the committed partial detection.
     pub fn disable(&mut self, id: RuleId) -> Result<()> {
-        let r = self.rule_mut(id)?;
+        let r = self
+            .rules
+            .get_mut(&id)
+            .ok_or_else(|| ObjectError::UnknownRule(format!("{id}")))?;
         r.enabled = false;
+        if self.capturing && !r.detector.in_txn() {
+            r.detector.begin_txn();
+            self.capture.push(id);
+        }
         r.detector.reset();
         self.cancel_rule_timers(id);
         self.epoch += 1;
@@ -747,29 +759,49 @@ impl RuleEngine {
     /// [`take_deferred`](Self::take_deferred) /
     /// [`take_detached`](Self::take_detached).
     ///
-    /// With routing enabled (the default) and the occurrence carrying an
-    /// interned symbol, only subscribers whose detector alphabet contains
-    /// that symbol are notified. Symbol-less occurrences (methods outside
-    /// the declared schema) and disabled routing fall back to notifying
-    /// every subscriber of the generating object.
+    /// Convenience over [`on_occurrence_into`](Self::on_occurrence_into),
+    /// which appends into a caller-owned buffer instead.
     pub fn on_occurrence(
         &mut self,
         registry: &ClassRegistry,
         occ: &PrimitiveOccurrence,
     ) -> Result<Vec<ReadyFiring>> {
+        let mut immediate = Vec::new();
+        self.on_occurrence_into(registry, occ, &mut immediate)?;
+        Ok(immediate)
+    }
+
+    /// [`on_occurrence`](Self::on_occurrence), appending the immediate
+    /// firings (in execution order) to `immediate`. Entries already in
+    /// the buffer are left alone, so one pooled buffer can serve nested
+    /// raises. Steady-state delivery allocates nothing per notified rule
+    /// beyond the occurrences its detector keeps.
+    ///
+    /// With routing enabled (the default) and the occurrence carrying an
+    /// interned symbol, only subscribers whose detector alphabet contains
+    /// that symbol are notified. Symbol-less occurrences (methods outside
+    /// the declared schema) and disabled routing fall back to notifying
+    /// every subscriber of the generating object.
+    pub fn on_occurrence_into(
+        &mut self,
+        registry: &ClassRegistry,
+        occ: &PrimitiveOccurrence,
+        immediate: &mut Vec<ReadyFiring>,
+    ) -> Result<()> {
         EngineCounters::bump(&self.stats.occurrences);
         let fan_out_timer = match &self.telemetry {
             Some(t) => t.timer(),
             None => Timer::off(),
         };
         let sym = occ.sym(registry);
+        self.completions.clear();
         let mut consumers = std::mem::take(&mut self.scratch);
+        consumers.clear();
         match (self.routing_enabled, sym) {
             (true, Some(s)) => {
                 if !self.routing_fresh(registry) {
                     self.rebuild_routing(registry);
                 }
-                consumers.clear();
                 let idx = self.routing.as_ref().expect("routing index just built");
                 push_unique(&mut consumers, idx.by_object.get(&(occ.oid, s)));
                 push_unique(&mut consumers, idx.broad_by_object.get(&occ.oid));
@@ -786,99 +818,122 @@ impl RuleEngine {
             }
         }
 
-        let bodies_version = self.bodies.version();
-        let history_on = self.telemetry.as_ref().is_some_and(|t| t.is_history());
-        let mut immediate = Vec::new();
-        for rid in consumers.iter().copied() {
-            let Some(rule) = self.rules.get_mut(&rid) else {
-                continue; // stale subscription of a deleted rule
-            };
-            if !rule.enabled {
-                continue;
-            }
-            EngineCounters::bump(&self.stats.notifications);
-            rule.stats.notifications += 1;
-            if let Some(cap) = self.capture.as_mut() {
-                if cap.insert(rid) {
+        let first = immediate.len();
+        if !consumers.is_empty() {
+            // One instant for the whole fan-out: every rule's windows see
+            // the same "now" for the same occurrence.
+            let now = self.time.as_ref().map_or(occ.at, |t| t.instant_now());
+            for &rid in &consumers {
+                let Some(rule) = self.rules.get_mut(&rid) else {
+                    continue; // stale subscription of a deleted rule
+                };
+                if !rule.enabled {
+                    continue;
+                }
+                EngineCounters::bump(&self.stats.notifications);
+                rule.stats.notifications += 1;
+                if self.capturing && !rule.detector.in_txn() {
                     rule.detector.begin_txn();
+                    self.capture.push(rid);
+                }
+                if rule
+                    .detector
+                    .process_at(registry, occ, sym, now, &mut self.completions)
+                    > 0
+                {
+                    self.schedule_completions(rid, occ.oid, occ.at, immediate)?;
                 }
             }
-            let completions = rule.detector.process_resolved(registry, occ, sym);
-            if completions.is_empty() {
-                continue;
-            }
-            rule.stats.triggered += completions.len() as u64;
-            if rule.bodies_version != bodies_version
-                || rule.cached_condition.is_none()
-                || rule.cached_action.is_none()
-            {
-                rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
-                rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
-                rule.bodies_version = bodies_version;
-            }
-            let condition = rule.cached_condition.as_ref().expect("resolved above");
-            let action = rule.cached_action.as_ref().expect("resolved above");
-            for occurrence in completions {
-                let lineage = if history_on {
-                    let tel = self.telemetry.as_ref().expect("history implies telemetry");
-                    let id = tel.next_firing_id();
-                    match self.lineage_ctx {
-                        Some((parent, root, parent_depth)) => Lineage {
-                            id,
-                            parent: Some(parent),
-                            root,
-                            depth: parent_depth + 1,
-                        },
-                        None => Lineage {
-                            id,
-                            parent: None,
-                            root: occurrence.end,
-                            depth: 0,
-                        },
-                    }
-                } else {
-                    Lineage::default()
-                };
-                let ready = ReadyFiring {
-                    priority: rule.def.priority,
-                    coupling: rule.def.coupling,
-                    condition: condition.clone(),
-                    action: action.clone(),
-                    firing: Firing {
-                        rule: rid,
-                        rule_name: rule.name.clone(),
-                        occurrence,
-                        lineage,
-                    },
-                    group: self
-                        .conflict_tags
-                        .as_ref()
-                        .and_then(|t| t.get(&rid).copied()),
-                };
-                route_ready(
-                    ready,
-                    &rule.name,
-                    occ.oid,
-                    occ.at,
-                    &mut immediate,
-                    &mut self.deferred,
-                    &mut self.detached,
-                    self.detached_cap,
-                    self.detached_policy,
-                    &self.stats,
-                    &self.telemetry,
-                );
-            }
         }
-        consumers.clear();
         self.scratch = consumers;
-        self.resolver.order(&mut immediate);
+        self.resolver.order(&mut immediate[first..]);
         if let Some(tel) = &self.telemetry {
             tel.observe_timer(Stage::FanOut, occ.at, fan_out_timer, || {
                 format!("{}.{}", occ.oid, occ.method)
             });
         }
-        Ok(immediate)
+        Ok(())
+    }
+
+    /// Turn the completions the rule `rid`'s detector just appended to
+    /// [`completions`](Self::completions) into ready firings, routed to
+    /// their coupling destination (`immediate` for immediate coupling).
+    /// `target` and `at` label the firings' trace records. On error the
+    /// completions are left behind; the next delivery discards them.
+    fn schedule_completions(
+        &mut self,
+        rid: RuleId,
+        target: Oid,
+        at: u64,
+        immediate: &mut Vec<ReadyFiring>,
+    ) -> Result<()> {
+        let bodies_version = self.bodies.version();
+        let history_on = self.telemetry.as_ref().is_some_and(|t| t.is_history());
+        let rule = self.rules.get_mut(&rid).expect("caller just notified it");
+        rule.stats.triggered += self.completions.len() as u64;
+        if rule.bodies_version != bodies_version
+            || rule.cached_condition.is_none()
+            || rule.cached_action.is_none()
+        {
+            rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
+            rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
+            rule.bodies_version = bodies_version;
+        }
+        let condition = rule.cached_condition.as_ref().expect("resolved above");
+        let action = rule.cached_action.as_ref().expect("resolved above");
+        let group = self
+            .conflict_tags
+            .as_ref()
+            .and_then(|t| t.get(&rid).copied());
+        for occurrence in self.completions.drain(..) {
+            let lineage = if history_on {
+                let tel = self.telemetry.as_ref().expect("history implies telemetry");
+                let id = tel.next_firing_id();
+                match self.lineage_ctx {
+                    Some((parent, root, parent_depth)) => Lineage {
+                        id,
+                        parent: Some(parent),
+                        root,
+                        depth: parent_depth + 1,
+                    },
+                    None => Lineage {
+                        id,
+                        parent: None,
+                        root: occurrence.end,
+                        depth: 0,
+                    },
+                }
+            } else {
+                Lineage::default()
+            };
+            let ready = ReadyFiring {
+                priority: rule.def.priority,
+                coupling: rule.def.coupling,
+                condition: condition.clone(),
+                action: action.clone(),
+                firing: Firing {
+                    rule: rid,
+                    rule_name: rule.name.clone(),
+                    occurrence,
+                    lineage,
+                },
+                group,
+            };
+            route_ready(
+                ready,
+                &rule.name,
+                target,
+                at,
+                immediate,
+                &mut self.deferred,
+                &mut self.detached,
+                self.detached_cap,
+                self.detached_policy,
+                &self.stats,
+                &self.telemetry,
+            );
+        }
+        Ok(())
     }
 
     /// Advance the timer wheel to instant `now` and deliver every due
@@ -909,8 +964,7 @@ impl RuleEngine {
             return Ok(Vec::new());
         }
         let n_fires = fires.len();
-        let bodies_version = self.bodies.version();
-        let history_on = self.telemetry.as_ref().is_some_and(|t| t.is_history());
+        self.completions.clear();
         let mut immediate = Vec::new();
         for fire in fires {
             let Some(&(rid, idx)) = self.timer_routes.get(&fire.id) else {
@@ -927,77 +981,18 @@ impl RuleEngine {
             }
             EngineCounters::bump(&self.stats.notifications);
             rule.stats.notifications += 1;
-            if let Some(cap) = self.capture.as_mut() {
-                if cap.insert(rid) {
-                    rule.detector.begin_txn();
-                }
+            if self.capturing && !rule.detector.in_txn() {
+                rule.detector.begin_txn();
+                self.capture.push(rid);
             }
             let seq = next_seq();
-            let completions = rule.detector.process_timer(registry, idx, fire.due, seq);
-            if completions.is_empty() {
-                continue;
-            }
-            rule.stats.triggered += completions.len() as u64;
-            if rule.bodies_version != bodies_version
-                || rule.cached_condition.is_none()
-                || rule.cached_action.is_none()
+            let target = rule.oid;
+            if rule
+                .detector
+                .process_timer(registry, idx, fire.due, seq, &mut self.completions)
+                > 0
             {
-                rule.cached_condition = Some(self.bodies.condition(&rule.def.condition)?);
-                rule.cached_action = Some(self.bodies.action(&rule.def.action)?);
-                rule.bodies_version = bodies_version;
-            }
-            let condition = rule.cached_condition.as_ref().expect("resolved above");
-            let action = rule.cached_action.as_ref().expect("resolved above");
-            for occurrence in completions {
-                let lineage = if history_on {
-                    let tel = self.telemetry.as_ref().expect("history implies telemetry");
-                    let id = tel.next_firing_id();
-                    match self.lineage_ctx {
-                        Some((parent, root, parent_depth)) => Lineage {
-                            id,
-                            parent: Some(parent),
-                            root,
-                            depth: parent_depth + 1,
-                        },
-                        None => Lineage {
-                            id,
-                            parent: None,
-                            root: occurrence.end,
-                            depth: 0,
-                        },
-                    }
-                } else {
-                    Lineage::default()
-                };
-                let ready = ReadyFiring {
-                    priority: rule.def.priority,
-                    coupling: rule.def.coupling,
-                    condition: condition.clone(),
-                    action: action.clone(),
-                    firing: Firing {
-                        rule: rid,
-                        rule_name: rule.name.clone(),
-                        occurrence,
-                        lineage,
-                    },
-                    group: self
-                        .conflict_tags
-                        .as_ref()
-                        .and_then(|t| t.get(&rid).copied()),
-                };
-                route_ready(
-                    ready,
-                    &rule.name,
-                    rule.oid,
-                    fire.due,
-                    &mut immediate,
-                    &mut self.deferred,
-                    &mut self.detached,
-                    self.detached_cap,
-                    self.detached_policy,
-                    &self.stats,
-                    &self.telemetry,
-                );
+                self.schedule_completions(rid, target, fire.due, &mut immediate)?;
             }
         }
         self.resolver.order(&mut immediate);
