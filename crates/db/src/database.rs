@@ -748,9 +748,7 @@ impl Database {
     pub(crate) fn drain_due_timers(&mut self) -> Result<usize> {
         let now = self.clock.instant_now();
         let clock = Arc::clone(&self.clock);
-        let immediate = self
-            .engine
-            .drain_timers(&self.registry, now, || clock.tick())?;
+        let immediate = self.engine.drain_timers(now, || clock.tick())?;
         let n = immediate.len();
         for f in &immediate {
             self.execute_firing(f)?;

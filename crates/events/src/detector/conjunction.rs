@@ -11,7 +11,7 @@ use super::state::{Buffer, Env};
 /// left/right operand occurrences `le`/`re` and appends detections to
 /// `out`.
 pub(super) fn pair_and(
-    id: u32,
+    id: usize,
     le: &mut Vec<CompositeOccurrence>,
     re: &mut Vec<CompositeOccurrence>,
     lbuf: &mut Buffer,

@@ -1,54 +1,45 @@
-//! Primitive-event leaves: compiling a spec into a leaf node and
-//! matching incoming occurrences against it (interned-symbol fast path
-//! with a string-compare fallback for out-of-schema occurrences).
+//! Primitive-event leaves: a compiled spec and the interned-symbol
+//! alphabet it matches by.
 
-use crate::occurrence::PrimitiveOccurrence;
 use crate::spec::{sym_alphabet, EventModifier, PrimitiveEventSpec};
 use sentinel_object::{ClassId, ClassRegistry, EventSym, Result};
 
-use super::state::Env;
-use super::Node;
-
-/// Compile a primitive spec against the schema. Unknown classes are
-/// reported immediately rather than silently never matching.
-pub(super) fn compile(spec: &PrimitiveEventSpec, registry: &ClassRegistry) -> Result<Node> {
-    let class = registry.id_of(&spec.class)?;
-    Ok(Node::Primitive {
-        class,
-        method: spec.method.clone(),
-        modifier: spec.modifier,
-        alphabet: alphabet(registry, class, &spec.method, spec.modifier),
-    })
+/// One primitive leaf of a detector's leaf table. The spec parts are
+/// kept so the alphabet can be recomputed when the schema grows.
+#[derive(Debug, Clone)]
+pub(super) struct Leaf {
+    class: ClassId,
+    method: String,
+    modifier: EventModifier,
+    /// Sorted interned symbols this leaf consumes (the spec closed over
+    /// subclasses).
+    alphabet: Vec<EventSym>,
 }
 
-/// The leaf's sorted interned-symbol alphabet, closed over subclasses.
-pub(super) fn alphabet(
-    registry: &ClassRegistry,
-    class: ClassId,
-    method: &str,
-    modifier: EventModifier,
-) -> Vec<EventSym> {
-    sym_alphabet(registry, class, method, modifier)
-}
+impl Leaf {
+    /// Compile a primitive spec against the schema. Unknown classes are
+    /// reported immediately rather than silently never matching.
+    pub(super) fn compile(spec: &PrimitiveEventSpec, registry: &ClassRegistry) -> Result<Leaf> {
+        let mut leaf = Leaf {
+            class: registry.id_of(&spec.class)?,
+            method: spec.method.clone(),
+            modifier: spec.modifier,
+            alphabet: Vec::new(),
+        };
+        leaf.refresh(registry);
+        Ok(leaf)
+    }
 
-/// Does the leaf consume this occurrence? In-schema occurrences carry
-/// an interned symbol and match by integer membership; hand-built
-/// occurrences naming undeclared methods take the string-compare
-/// fallback.
-pub(super) fn matches(
-    env: &Env<'_>,
-    class: ClassId,
-    method: &str,
-    modifier: EventModifier,
-    alphabet: &[EventSym],
-    occ: &PrimitiveOccurrence,
-) -> bool {
-    match env.sym {
-        Some(sym) => alphabet.binary_search(&sym).is_ok(),
-        None => {
-            modifier == occ.modifier
-                && method == &*occ.method
-                && env.registry.is_subclass(occ.class, class)
-        }
+    /// Recompute the alphabet against a grown schema (classes defined
+    /// after compile time may add subclass symbols).
+    pub(super) fn refresh(&mut self, registry: &ClassRegistry) {
+        self.alphabet = sym_alphabet(registry, self.class, &self.method, self.modifier);
+    }
+
+    /// Does the leaf consume an occurrence with interned symbol `sym`?
+    /// Alphabet membership only: a symbol-less occurrence (a method
+    /// outside the declared schema) matches no leaf.
+    pub(super) fn matches(&self, sym: Option<EventSym>) -> bool {
+        sym.is_some_and(|s| self.alphabet.binary_search(&s).is_ok())
     }
 }

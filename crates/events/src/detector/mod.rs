@@ -4,8 +4,8 @@
 //! receives the primitive events propagated to the rule and signals the
 //! rule when its (possibly composite) event occurs. A
 //! [`DetectorInstance`] is that detector: an [`EventExpr`] compiled into
-//! a tree of operator nodes, each holding the partial-detection state the
-//! paper describes for the `Conjunction` subclass (Figure 6: the two
+//! a tree of operator nodes plus the partial-detection state the paper
+//! describes for the `Conjunction` subclass (Figure 6: the two
 //! constituent event references plus a `Raised` flag — generalised here
 //! to occurrence buffers so that constituent *parameters* survive until
 //! the composite completes).
@@ -33,16 +33,22 @@
 //! objects (paper §2) — which must include their *detection state*: an
 //! occurrence generated inside a rolled-back transaction must not later
 //! complete a composite event, and an occurrence *consumed* by a
-//! detection that was rolled back must be re-armed. The detector
-//! therefore supports an undo journal: between
+//! detection that was rolled back must be re-armed.
+//!
+//! The detector therefore keeps structure and state apart. The operator
+//! tree is immutable after compile; every node owns one state slot in a
+//! flat arena indexed by its pre-order id, and primitive leaves index a
+//! leaf table holding their symbol alphabets. Between
 //! [`begin_txn`](DetectorInstance::begin_txn) and
 //! [`commit_txn`](DetectorInstance::commit_txn) /
-//! [`abort_txn`](DetectorInstance::abort_txn) every state mutation
-//! records its inverse. The journal costs O(1) per mutation (a marker
-//! for appends; a clone only for destructive pops/clears), so a
-//! transaction over a detector with a large buffer does **not** pay for
-//! the buffer size — the reason this design replaced an earlier
-//! clone-the-detector checkpoint (see DESIGN.md §9).
+//! [`abort_txn`](DetectorInstance::abort_txn) every slot mutation
+//! records its inverse, addressed by slot id. The journal costs O(1) per
+//! mutation (a marker for appends; a clone only for destructive
+//! pops/clears), so a transaction over a detector with a large buffer
+//! does **not** pay for the buffer size (see DESIGN.md §9). Abort, reset,
+//! scope eviction and checkpoint export/import are all loops over the
+//! arena; since the alphabets are not in it, no restore path can roll
+//! them back.
 
 mod conjunction;
 mod leaf;
@@ -54,17 +60,16 @@ mod window;
 use crate::algebra::{AggFn, EventExpr};
 use crate::context::ParamContext;
 use crate::occurrence::{CompositeOccurrence, PrimitiveOccurrence};
-use crate::spec::EventModifier;
-use sentinel_object::{ClassId, ClassRegistry, EventSym, Result};
+use sentinel_object::{ClassRegistry, EventSym, Result};
 use sentinel_telemetry::{Stage, Telemetry, Timer};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 use conjunction::pair_and;
+use leaf::Leaf;
 use sequence::pair_seq;
-use state::{
-    apply_buffer_undo, evict_buffer, Buffer, Env, JournalEntry, NodeUndo, Stim, WindowBuf,
-};
+use state::{Buffer, Env, JournalEntry, NodeUndo, Slot, Stim, WindowBuf};
 use window::Watermarks;
 
 /// Resource limits protecting against unbounded detector state (the
@@ -107,7 +112,12 @@ const JOURNAL_RETAIN: usize = 1024;
 /// cross-check the journal against brute-force snapshots).
 #[derive(Clone)]
 pub struct DetectorInstance {
+    /// The operator tree: structure only, never mutated after compile.
     root: Node,
+    /// Detection state: one slot per node, at the node's pre-order id.
+    slots: Vec<Slot>,
+    /// Primitive leaves in pre-order; `Node::Primitive` indexes here.
+    leaves: Vec<Leaf>,
     context: ParamContext,
     caps: DetectorCaps,
     stats: DetectorStats,
@@ -149,10 +159,16 @@ impl DetectorInstance {
         context: ParamContext,
         caps: DetectorCaps,
     ) -> Result<Self> {
-        let mut next_id = 0u32;
-        let mut next_timer = 0usize;
+        let mut c = Compiler {
+            registry,
+            slots: Vec::new(),
+            leaves: Vec::new(),
+            timers: 0,
+        };
         Ok(DetectorInstance {
-            root: Node::compile(expr, registry, &mut next_id, &mut next_timer)?,
+            root: c.node(expr)?,
+            slots: c.slots,
+            leaves: c.leaves,
             context,
             caps,
             stats: DetectorStats::default(),
@@ -203,11 +219,11 @@ impl DetectorInstance {
     /// completed composite occurrences to `out`; returns how many were
     /// appended. `sym` is the occurrence's interned symbol, resolved
     /// once by the caller and shared across every notified detector
-    /// (`None` means the occurrence names a method outside the schema —
-    /// leaves then match by the string-compare fallback). `now` is the
-    /// occurrence's position on the instant axis windows are measured
-    /// on; the engine reads it once per occurrence, so every rule the
-    /// occurrence reaches sees the same instant.
+    /// (`None` means the occurrence names a method outside the schema,
+    /// which matches no leaf). `now` is the occurrence's position on the
+    /// instant axis windows are measured on; the engine reads it once
+    /// per occurrence, so every rule the occurrence reaches sees the
+    /// same instant.
     pub fn process_at(
         &mut self,
         registry: &ClassRegistry,
@@ -217,28 +233,26 @@ impl DetectorInstance {
         out: &mut Vec<CompositeOccurrence>,
     ) -> usize {
         if self.schema_len != registry.len() {
-            self.root.refresh_alphabets(registry);
+            for leaf in &mut self.leaves {
+                leaf.refresh(registry);
+            }
             self.schema_len = registry.len();
         }
         let timer = match &self.telemetry {
             Some(t) => t.timer(),
             None => Timer::off(),
         };
-        let emitted = self.run(registry, Stim::Prim(occ), sym, now, out);
+        let emitted = self.run(Stim::Prim(occ), sym, now, out);
         if let Some(tel) = &self.telemetry {
-            // The enabled check also guards the `buffered` tree walk, which
-            // is not free on deep expressions.
+            // The enabled check also guards the `buffered` slot loop.
             if tel.is_enabled() {
                 let label = &self.label;
                 tel.observe_timer(Stage::DetectorTransition, occ.at, timer, || {
                     label.to_string()
                 });
-                tel.observe(
-                    Stage::DetectorDepth,
-                    occ.at,
-                    self.root.buffered() as u64,
-                    || label.to_string(),
-                );
+                tel.observe(Stage::DetectorDepth, occ.at, self.buffered() as u64, || {
+                    label.to_string()
+                });
             }
         }
         emitted
@@ -252,19 +266,17 @@ impl DetectorInstance {
     /// against event occurrences. Returns how many were appended.
     pub fn process_timer(
         &mut self,
-        registry: &ClassRegistry,
         idx: usize,
         due: u64,
         seq: u64,
         out: &mut Vec<CompositeOccurrence>,
     ) -> usize {
-        self.run(registry, Stim::Timer { idx, seq }, None, due, out)
+        self.run(Stim::Timer { idx, seq }, None, due, out)
     }
 
     /// Drive one stimulus through the node tree at instant `now`.
     fn run(
         &mut self,
-        registry: &ClassRegistry,
         stim: Stim<'_>,
         sym: Option<EventSym>,
         now: u64,
@@ -273,7 +285,7 @@ impl DetectorInstance {
         self.stats.offered += 1;
         let before = out.len();
         let mut env = Env {
-            registry,
+            leaves: &self.leaves,
             sym,
             context: self.context,
             caps: self.caps,
@@ -283,7 +295,7 @@ impl DetectorInstance {
             journal: self.in_txn.then_some(&mut self.journal),
             scratch: &mut self.scratch,
         };
-        self.root.process(&stim, &mut env, out);
+        self.root.process(&stim, &mut self.slots, &mut env, out);
         if env.matched {
             self.stats.matched += 1;
         }
@@ -293,12 +305,12 @@ impl DetectorInstance {
         emitted
     }
 
-    /// Export the detector's partial-detection state for a checkpoint: a
-    /// pre-order walk of every node's buffers, slots and windows.
+    /// Export the detector's partial-detection state for a checkpoint:
+    /// the slot arena, one entry per node in pre-order.
     pub fn export_state(&self) -> DetectorState {
-        let mut nodes = Vec::new();
-        self.root.export_state(&mut nodes);
-        DetectorState { nodes }
+        DetectorState {
+            nodes: self.slots.iter().map(NodeState::of).collect(),
+        }
     }
 
     /// Restore state exported by [`export_state`](Self::export_state).
@@ -306,14 +318,15 @@ impl DetectorInstance {
     /// shape does not match this detector's expression — e.g. the rule
     /// was redefined between checkpoint and recovery.
     pub fn import_state(&mut self, state: &DetectorState) -> bool {
-        let mut trial = self.root.clone();
-        let mut it = state.nodes.iter();
-        if trial.import_state(&mut it) && it.next().is_none() {
-            self.root = trial;
-            true
-        } else {
-            false
+        if state.nodes.len() != self.slots.len() {
+            return false;
         }
+        let restored = self.slots.iter().zip(&state.nodes);
+        let Some(slots) = restored.map(|(slot, node)| node.restore(slot)).collect() else {
+            return false;
+        };
+        self.slots = slots;
+        true
     }
 
     /// Start journaling state mutations for the enclosing transaction.
@@ -337,12 +350,8 @@ impl DetectorInstance {
         }
         while let Some(entry) = self.journal.pop() {
             match entry {
-                JournalEntry::Full(node) => {
-                    self.root = *node;
-                }
-                JournalEntry::Node { node, undo } => {
-                    self.root.apply_undo(node, undo);
-                }
+                JournalEntry::Full(slots) => self.slots = slots,
+                JournalEntry::Node { node, undo } => self.slots[node].undo(undo),
             }
         }
         self.end_txn();
@@ -363,7 +372,7 @@ impl DetectorInstance {
     /// Total occurrences currently buffered across all operator nodes —
     /// the detector-state metric of experiment E12.
     pub fn buffered(&self) -> usize {
-        self.root.buffered()
+        self.slots.iter().map(Slot::buffered).sum()
     }
 
     /// Counters so far.
@@ -373,14 +382,13 @@ impl DetectorInstance {
 
     /// Discard all partial state (e.g. when a rule is disabled; the paper
     /// says a disabled rule no longer records propagated events). When a
-    /// journal is active the pre-reset state is recorded so an abort can
-    /// restore it.
+    /// journal is active the pre-reset slots are recorded so an abort can
+    /// restore them.
     pub fn reset(&mut self) {
         if self.in_txn {
-            self.journal
-                .push(JournalEntry::Full(Box::new(self.root.clone())));
+            self.journal.push(JournalEntry::Full(self.slots.clone()));
         }
-        self.root.reset();
+        self.slots.iter_mut().for_each(Slot::reset);
     }
 
     /// The parameter context the detector was compiled with.
@@ -412,7 +420,8 @@ impl DetectorState {
     }
 }
 
-/// One node's exported state (shape-checked on import).
+/// One node's exported state: the serialized form of its [`Slot`]
+/// (shape-checked on import).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum NodeState {
     /// Primitive / timer leaves, `Or`, `Within`.
@@ -436,241 +445,345 @@ enum NodeState {
     Marks(Vec<(u64, u64)>),
 }
 
+impl NodeState {
+    fn of(slot: &Slot) -> NodeState {
+        match slot {
+            Slot::Stateless => NodeState::Stateless,
+            Slot::Bufs(bufs) => NodeState::Bufs(
+                bufs.iter()
+                    .map(|b| b.items.iter().cloned().collect())
+                    .collect(),
+            ),
+            Slot::Latest(latest) => NodeState::Latest(latest.clone()),
+            Slot::Open { open, violated } => NodeState::Open {
+                open: open.clone(),
+                violated: *violated,
+            },
+            Slot::Windowed {
+                items,
+                epoch,
+                latched,
+            } => NodeState::Windowed {
+                items: items.iter().cloned().collect(),
+                epoch: *epoch,
+                latched: *latched,
+            },
+            Slot::Marks(marks) => NodeState::Marks(marks.export()),
+        }
+    }
+
+    /// The slot this state restores into `slot`'s place, or `None` when
+    /// the shapes differ.
+    fn restore(&self, slot: &Slot) -> Option<Slot> {
+        Some(match (slot, self) {
+            (Slot::Stateless, NodeState::Stateless) => Slot::Stateless,
+            (Slot::Bufs(bufs), NodeState::Bufs(saved)) if bufs.len() == saved.len() => Slot::Bufs(
+                saved
+                    .iter()
+                    .map(|items| Buffer {
+                        items: items.iter().cloned().collect(),
+                    })
+                    .collect(),
+            ),
+            (Slot::Latest(latest), NodeState::Latest(saved)) if latest.len() == saved.len() => {
+                Slot::Latest(saved.clone())
+            }
+            (Slot::Open { .. }, NodeState::Open { open, violated }) => Slot::Open {
+                open: open.clone(),
+                violated: *violated,
+            },
+            (
+                Slot::Windowed { .. },
+                NodeState::Windowed {
+                    items,
+                    epoch,
+                    latched,
+                },
+            ) => Slot::Windowed {
+                items: items.iter().cloned().collect(),
+                epoch: *epoch,
+                latched: *latched,
+            },
+            (Slot::Marks(_), NodeState::Marks(samples)) => {
+                Slot::Marks(Watermarks::import(samples.clone()))
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// One operator node: structure only. A node that keeps state names its
+/// slot by `id`, its pre-order position in the tree.
 #[derive(Debug, Clone)]
 enum Node {
+    /// A primitive event: index into the detector's leaf table.
     Primitive {
-        class: ClassId,
-        method: String,
-        modifier: EventModifier,
-        /// Sorted interned symbols this leaf consumes (the spec closed
-        /// over subclasses). Occurrences carrying a symbol match by
-        /// binary search; symbol-less occurrences fall back to the
-        /// string compare.
-        alphabet: Vec<EventSym>,
+        leaf: usize,
+    },
+    /// An `at` / `every` timer leaf, matched by timer-fire stimuli only.
+    Timer {
+        idx: usize,
     },
     And {
-        id: u32,
+        id: usize,
         left: Box<Node>,
         right: Box<Node>,
-        lbuf: Buffer,
-        rbuf: Buffer,
     },
     Or {
         left: Box<Node>,
         right: Box<Node>,
     },
     Seq {
-        id: u32,
+        id: usize,
         left: Box<Node>,
         right: Box<Node>,
-        lbuf: Buffer,
     },
     Any {
-        id: u32,
+        id: usize,
         m: usize,
         children: Vec<Node>,
-        latest: Vec<Option<CompositeOccurrence>>,
     },
     Not {
-        id: u32,
+        id: usize,
         watch: Box<Node>,
         start: Box<Node>,
         end: Box<Node>,
-        open: Option<CompositeOccurrence>,
-        violated: bool,
     },
     Aperiodic {
-        id: u32,
+        id: usize,
         start: Box<Node>,
         each: Box<Node>,
         end: Box<Node>,
-        open: Option<CompositeOccurrence>,
     },
     Times {
-        id: u32,
+        id: usize,
         n: usize,
         child: Box<Node>,
-        buf: Buffer,
     },
     Plus {
-        id: u32,
+        id: usize,
         child: Box<Node>,
         delta: u64,
-        pending: Buffer,
-    },
-    /// Timer leaves: stateless, matched by timer-fire stimuli only.
-    At {
-        timer_idx: usize,
-    },
-    Every {
-        timer_idx: usize,
     },
     /// Deadline scope: filters operand emissions by interval span and
-    /// evicts operand state too old to ever complete in time.
+    /// evicts operand state too old to ever complete in time. `scope` is
+    /// the child subtree's slot range.
     Within {
         child: Box<Node>,
         deadline: u64,
+        scope: Range<usize>,
     },
     /// Window scope: evicts operand state that left the window on the
     /// instant axis, so e.g. `Seq(a, b)` inside a window only pairs
     /// constituents from the same window.
     Window {
+        id: usize,
         child: Box<Node>,
         size: u64,
         tumbling: bool,
-        marks: Watermarks,
+        scope: Range<usize>,
     },
     /// Windowed aggregation with a latched threshold.
     Aggregate {
-        id: u32,
+        id: usize,
         child: Box<Node>,
         size: u64,
         tumbling: bool,
         agg: AggFn,
         threshold: i64,
-        wbuf: WindowBuf,
-        epoch: u64,
-        latched: bool,
     },
 }
 
-impl Node {
-    fn compile(
-        expr: &EventExpr,
-        registry: &ClassRegistry,
-        next_id: &mut u32,
-        next_timer: &mut usize,
-    ) -> Result<Node> {
-        let mut fresh = || {
-            let id = *next_id;
-            *next_id += 1;
-            id
+/// Builds the tree, its slot arena and its leaf table in one pre-order
+/// pass.
+struct Compiler<'r> {
+    registry: &'r ClassRegistry,
+    slots: Vec<Slot>,
+    leaves: Vec<Leaf>,
+    /// Timer leaves take their delivery index in the same traversal
+    /// order `EventExpr::timer_specs` collects specs.
+    timers: usize,
+}
+
+impl Compiler<'_> {
+    /// Compile `expr`: the node takes the next slot before its operands
+    /// do, so every subtree owns a contiguous slot range.
+    fn node(&mut self, expr: &EventExpr) -> Result<Node> {
+        let id = self.slots.len();
+        self.slots.push(Slot::Stateless);
+        let bufs = |n| Slot::Bufs(vec![Buffer::default(); n]);
+        let open = || Slot::Open {
+            open: None,
+            violated: false,
         };
-        // Timer leaves take their delivery index in the same traversal
-        // order `EventExpr::timer_specs` collects specs.
-        let mut fresh_timer = || {
-            let idx = *next_timer;
-            *next_timer += 1;
-            idx
-        };
-        Ok(match expr {
-            EventExpr::Primitive(spec) => leaf::compile(spec, registry)?,
-            EventExpr::And(a, b) => Node::And {
-                id: fresh(),
-                left: Box::new(Node::compile(a, registry, next_id, next_timer)?),
-                right: Box::new(Node::compile(b, registry, next_id, next_timer)?),
-                lbuf: Buffer::default(),
-                rbuf: Buffer::default(),
-            },
-            EventExpr::Or(a, b) => Node::Or {
-                left: Box::new(Node::compile(a, registry, next_id, next_timer)?),
-                right: Box::new(Node::compile(b, registry, next_id, next_timer)?),
-            },
-            EventExpr::Seq(a, b) => Node::Seq {
-                id: fresh(),
-                left: Box::new(Node::compile(a, registry, next_id, next_timer)?),
-                right: Box::new(Node::compile(b, registry, next_id, next_timer)?),
-                lbuf: Buffer::default(),
-            },
-            EventExpr::Any { m, exprs } => Node::Any {
-                id: fresh(),
-                m: *m,
-                latest: exprs.iter().map(|_| None).collect(),
-                children: exprs
-                    .iter()
-                    .map(|e| Node::compile(e, registry, next_id, next_timer))
-                    .collect::<Result<_>>()?,
-            },
-            EventExpr::Not { watch, start, end } => Node::Not {
-                id: fresh(),
-                watch: Box::new(Node::compile(watch, registry, next_id, next_timer)?),
-                start: Box::new(Node::compile(start, registry, next_id, next_timer)?),
-                end: Box::new(Node::compile(end, registry, next_id, next_timer)?),
-                open: None,
-                violated: false,
-            },
-            EventExpr::Aperiodic { start, each, end } => Node::Aperiodic {
-                id: fresh(),
-                start: Box::new(Node::compile(start, registry, next_id, next_timer)?),
-                each: Box::new(Node::compile(each, registry, next_id, next_timer)?),
-                end: Box::new(Node::compile(end, registry, next_id, next_timer)?),
-                open: None,
-            },
-            EventExpr::Times { n, expr } => Node::Times {
-                id: fresh(),
-                n: (*n).max(1),
-                child: Box::new(Node::compile(expr, registry, next_id, next_timer)?),
-                buf: Buffer::default(),
-            },
-            EventExpr::Plus { expr, delta } => Node::Plus {
-                id: fresh(),
-                child: Box::new(Node::compile(expr, registry, next_id, next_timer)?),
-                delta: *delta,
-                pending: Buffer::default(),
-            },
-            EventExpr::At { .. } => Node::At {
-                timer_idx: fresh_timer(),
-            },
-            EventExpr::Every { .. } => Node::Every {
-                timer_idx: fresh_timer(),
-            },
-            EventExpr::Within { expr, deadline } => Node::Within {
-                child: Box::new(Node::compile(expr, registry, next_id, next_timer)?),
-                deadline: *deadline,
-            },
+        let (node, slot) = match expr {
+            EventExpr::Primitive(spec) => {
+                self.leaves.push(Leaf::compile(spec, self.registry)?);
+                let leaf = self.leaves.len() - 1;
+                (Node::Primitive { leaf }, Slot::Stateless)
+            }
+            EventExpr::At { .. } | EventExpr::Every { .. } => {
+                self.timers += 1;
+                let idx = self.timers - 1;
+                (Node::Timer { idx }, Slot::Stateless)
+            }
+            EventExpr::And(a, b) => {
+                let (left, right) = (self.boxed(a)?, self.boxed(b)?);
+                (Node::And { id, left, right }, bufs(2))
+            }
+            EventExpr::Or(a, b) => {
+                let (left, right) = (self.boxed(a)?, self.boxed(b)?);
+                (Node::Or { left, right }, Slot::Stateless)
+            }
+            EventExpr::Seq(a, b) => {
+                let (left, right) = (self.boxed(a)?, self.boxed(b)?);
+                (Node::Seq { id, left, right }, bufs(1))
+            }
+            EventExpr::Any { m, exprs } => {
+                let children = exprs.iter().map(|e| self.node(e)).collect::<Result<_>>()?;
+                let latest = Slot::Latest(vec![None; exprs.len()]);
+                (
+                    Node::Any {
+                        id,
+                        m: *m,
+                        children,
+                    },
+                    latest,
+                )
+            }
+            EventExpr::Not { watch, start, end } => {
+                let watch = self.boxed(watch)?;
+                let (start, end) = (self.boxed(start)?, self.boxed(end)?);
+                let node = Node::Not {
+                    id,
+                    watch,
+                    start,
+                    end,
+                };
+                (node, open())
+            }
+            EventExpr::Aperiodic { start, each, end } => {
+                let start = self.boxed(start)?;
+                let (each, end) = (self.boxed(each)?, self.boxed(end)?);
+                let node = Node::Aperiodic {
+                    id,
+                    start,
+                    each,
+                    end,
+                };
+                (node, open())
+            }
+            EventExpr::Times { n, expr } => {
+                let child = self.boxed(expr)?;
+                (
+                    Node::Times {
+                        id,
+                        n: (*n).max(1),
+                        child,
+                    },
+                    bufs(1),
+                )
+            }
+            EventExpr::Plus { expr, delta } => {
+                let child = self.boxed(expr)?;
+                (
+                    Node::Plus {
+                        id,
+                        child,
+                        delta: *delta,
+                    },
+                    bufs(1),
+                )
+            }
+            EventExpr::Within { expr, deadline } => {
+                let child = self.boxed(expr)?;
+                let node = Node::Within {
+                    child,
+                    deadline: *deadline,
+                    scope: id + 1..self.slots.len(),
+                };
+                (node, Slot::Stateless)
+            }
             EventExpr::Window {
                 expr,
                 size,
                 tumbling,
-            } => Node::Window {
-                child: Box::new(Node::compile(expr, registry, next_id, next_timer)?),
-                size: (*size).max(1),
-                tumbling: *tumbling,
-                marks: Watermarks::default(),
-            },
+            } => {
+                let child = self.boxed(expr)?;
+                let node = Node::Window {
+                    id,
+                    child,
+                    size: (*size).max(1),
+                    tumbling: *tumbling,
+                    scope: id + 1..self.slots.len(),
+                };
+                (node, Slot::Marks(Watermarks::default()))
+            }
             EventExpr::Aggregate {
                 expr,
                 size,
                 tumbling,
                 agg,
                 threshold,
-            } => Node::Aggregate {
-                id: fresh(),
-                child: Box::new(Node::compile(expr, registry, next_id, next_timer)?),
-                size: (*size).max(1),
-                tumbling: *tumbling,
-                agg: *agg,
-                threshold: *threshold,
-                wbuf: WindowBuf::default(),
-                epoch: 0,
-                latched: false,
-            },
-        })
+            } => {
+                let node = Node::Aggregate {
+                    id,
+                    child: self.boxed(expr)?,
+                    size: (*size).max(1),
+                    tumbling: *tumbling,
+                    agg: *agg,
+                    threshold: *threshold,
+                };
+                let slot = Slot::Windowed {
+                    items: WindowBuf::new(),
+                    epoch: 0,
+                    latched: false,
+                };
+                (node, slot)
+            }
+        };
+        self.slots[id] = slot;
+        Ok(node)
     }
 
+    fn boxed(&mut self, expr: &EventExpr) -> Result<Box<Node>> {
+        self.node(expr).map(Box::new)
+    }
+}
+
+/// Evict stale operand state from the scope slots `scope` (see
+/// [`Slot::evict`]).
+fn evict(slots: &mut [Slot], scope: &Range<usize>, cutoff: u64, by_start: bool, env: &mut Env<'_>) {
+    for id in scope.clone() {
+        slots[id].evict(id, cutoff, by_start, env);
+    }
+}
+
+impl Node {
     /// Drive one stimulus through this node, appending the composite
     /// occurrences it completes to `out`. Operand streams of inner nodes
     /// go through buffers borrowed from the `Env` pool, so steady-state
     /// detection allocates nothing beyond the occurrences it keeps.
-    fn process(&mut self, stim: &Stim<'_>, env: &mut Env<'_>, out: &mut Vec<CompositeOccurrence>) {
+    fn process(
+        &self,
+        stim: &Stim<'_>,
+        slots: &mut [Slot],
+        env: &mut Env<'_>,
+        out: &mut Vec<CompositeOccurrence>,
+    ) {
         match self {
-            Node::Primitive {
-                class,
-                method,
-                modifier,
-                alphabet,
-            } => {
+            Node::Primitive { leaf } => {
                 if let Stim::Prim(occ) = stim {
-                    if leaf::matches(env, *class, method, *modifier, alphabet, occ) {
+                    if env.leaves[*leaf].matches(env.sym) {
                         env.matched = true;
                         out.push(CompositeOccurrence::from_primitive((*occ).clone()));
                     }
                 }
             }
 
-            Node::At { timer_idx } | Node::Every { timer_idx } => {
-                if let Stim::Timer { idx, seq } = stim {
-                    if idx == timer_idx {
+            Node::Timer { idx } => {
+                if let Stim::Timer { idx: fired, seq } = stim {
+                    if fired == idx {
                         env.matched = true;
                         out.push(temporal::timer_occurrence(*seq));
                     }
@@ -678,51 +791,47 @@ impl Node {
             }
 
             Node::Or { left, right } => {
-                left.process(stim, env, out);
-                right.process(stim, env, out);
+                left.process(stim, slots, env, out);
+                right.process(stim, slots, env, out);
             }
 
-            Node::And {
-                id,
-                left,
-                right,
-                lbuf,
-                rbuf,
-            } => {
+            Node::And { id, left, right } => {
                 let mut le = env.take_buf();
-                left.process(stim, env, &mut le);
+                left.process(stim, slots, env, &mut le);
                 let mut re = env.take_buf();
-                right.process(stim, env, &mut re);
-                pair_and(*id, &mut le, &mut re, lbuf, rbuf, env, out);
+                right.process(stim, slots, env, &mut re);
+                if let [lbuf, rbuf] = slots[*id].bufs() {
+                    pair_and(*id, &mut le, &mut re, lbuf, rbuf, env, out);
+                }
                 env.give_buf(le);
                 env.give_buf(re);
             }
 
-            Node::Seq {
-                id,
-                left,
-                right,
-                lbuf,
-            } => {
+            Node::Seq { id, left, right } => {
                 let mut le = env.take_buf();
-                left.process(stim, env, &mut le);
+                left.process(stim, slots, env, &mut le);
                 let mut re = env.take_buf();
-                right.process(stim, env, &mut re);
+                right.process(stim, slots, env, &mut re);
+                let lbuf = &mut slots[*id].bufs()[0];
                 pair_seq(*id, &mut le, &re, lbuf, env, out);
                 env.give_buf(le);
                 env.give_buf(re);
             }
 
-            Node::Within { child, deadline } => {
+            Node::Within {
+                child,
+                deadline,
+                scope,
+            } => {
                 let deadline = *deadline;
                 // Evict operand state that can no longer complete in
                 // time — this is what bounds a never-completing
                 // composite's memory.
                 if let Some(cut) = temporal::within_cutoff(stim.seq(), deadline) {
-                    child.evict_state(cut, true, env);
+                    evict(slots, scope, cut, true, env);
                 }
                 let mut es = env.take_buf();
-                child.process(stim, env, &mut es);
+                child.process(stim, slots, env, &mut es);
                 out.extend(
                     es.drain(..)
                         .filter(|o| temporal::within_span_ok(o, deadline)),
@@ -731,16 +840,19 @@ impl Node {
             }
 
             Node::Window {
+                id,
                 child,
                 size,
                 tumbling,
-                marks,
+                scope,
             } => {
-                marks.observe(env.now, stim.seq());
-                if let Some(cut) = window::window_cutoff(marks, env.now, *size, *tumbling) {
-                    child.evict_state(cut, false, env);
+                if let Slot::Marks(marks) = &mut slots[*id] {
+                    marks.observe(env.now, stim.seq());
+                    if let Some(cut) = window::window_cutoff(marks, env.now, *size, *tumbling) {
+                        evict(slots, scope, cut, false, env);
+                    }
                 }
-                child.process(stim, env, out);
+                child.process(stim, slots, env, out);
             }
 
             Node::Aggregate {
@@ -750,39 +862,39 @@ impl Node {
                 tumbling,
                 agg,
                 threshold,
-                wbuf,
-                epoch,
-                latched,
             } => {
                 let mut arrivals = env.take_buf();
-                child.process(stim, env, &mut arrivals);
-                window::step_aggregate(
-                    *id,
-                    &mut arrivals,
-                    *size,
-                    *tumbling,
-                    *agg,
-                    *threshold,
-                    wbuf,
+                child.process(stim, slots, env, &mut arrivals);
+                if let Slot::Windowed {
+                    items,
                     epoch,
                     latched,
-                    env,
-                    out,
-                );
+                } = &mut slots[*id]
+                {
+                    window::step_aggregate(
+                        *id,
+                        &mut arrivals,
+                        *size,
+                        *tumbling,
+                        *agg,
+                        *threshold,
+                        items,
+                        epoch,
+                        latched,
+                        env,
+                        out,
+                    );
+                }
                 env.give_buf(arrivals);
             }
 
-            Node::Any {
-                id,
-                m,
-                children,
-                latest,
-            } => {
+            Node::Any { id, m, children } => {
                 let id = *id;
-                for (i, child) in children.iter_mut().enumerate() {
-                    let Some(e) = env.drive(child, stim, Vec::pop) else {
+                for (i, child) in children.iter().enumerate() {
+                    let Some(e) = env.drive(child, slots, stim, Vec::pop) else {
                         continue;
                     };
+                    let latest = slots[id].latest();
                     let prev = latest[i].replace(e);
                     let was_present = prev.is_some();
                     env.record(id, NodeUndo::SetLatest { i, prev });
@@ -807,15 +919,14 @@ impl Node {
                 watch,
                 start,
                 end,
-                open,
-                violated,
             } => {
                 let id = *id;
                 // Deterministic intra-occurrence ordering: close windows
                 // first, then record violations, then open new windows.
-                if let Some(e) =
-                    env.drive(end, stim, |es| (!es.is_empty()).then(|| es.swap_remove(0)))
-                {
+                let first =
+                    |es: &mut Vec<CompositeOccurrence>| (!es.is_empty()).then(|| es.swap_remove(0));
+                if let Some(e) = env.drive(end, slots, stim, first) {
+                    let (open, violated) = slots[id].open();
                     let prev_open = open.take();
                     if let Some(s) = prev_open.as_ref() {
                         if !*violated {
@@ -828,11 +939,17 @@ impl Node {
                         *violated = false;
                     }
                 }
-                if open.is_some() && env.drive(watch, stim, |es| !es.is_empty()) && !*violated {
-                    env.record(id, NodeUndo::SetViolated { prev: false });
-                    *violated = true;
+                if slots[id].open().0.is_some()
+                    && env.drive(watch, slots, stim, |es| !es.is_empty())
+                {
+                    let (_, violated) = slots[id].open();
+                    if !*violated {
+                        env.record(id, NodeUndo::SetViolated { prev: false });
+                        *violated = true;
+                    }
                 }
-                if let Some(s) = env.drive(start, stim, Vec::pop) {
+                if let Some(s) = env.drive(start, slots, stim, Vec::pop) {
+                    let (open, violated) = slots[id].open();
                     let prev = open.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                     if *violated {
@@ -847,31 +964,34 @@ impl Node {
                 start,
                 each,
                 end,
-                open,
             } => {
                 let id = *id;
-                if env.drive(end, stim, |es| !es.is_empty()) && open.is_some() {
-                    let prev = open.take();
-                    env.record(id, NodeUndo::SetOpen { prev });
+                if env.drive(end, slots, stim, |es| !es.is_empty()) {
+                    let (open, _) = slots[id].open();
+                    if open.is_some() {
+                        let prev = open.take();
+                        env.record(id, NodeUndo::SetOpen { prev });
+                    }
                 }
                 // The child is driven even with no window open, so its
                 // own state stays fresh.
                 let mut es = env.take_buf();
-                each.process(stim, env, &mut es);
-                if let Some(s) = open.as_ref() {
+                each.process(stim, slots, env, &mut es);
+                if let Some(s) = slots[id].open().0.as_ref() {
                     out.extend(es.iter().map(|e| CompositeOccurrence::merge(s, e)));
                 }
                 env.give_buf(es);
-                if let Some(s) = env.drive(start, stim, Vec::pop) {
-                    let prev = open.replace(s);
+                if let Some(s) = env.drive(start, slots, stim, Vec::pop) {
+                    let prev = slots[id].open().0.replace(s);
                     env.record(id, NodeUndo::SetOpen { prev });
                 }
             }
 
-            Node::Times { id, n, child, buf } => {
+            Node::Times { id, n, child } => {
                 let id = *id;
                 let mut es = env.take_buf();
-                child.process(stim, env, &mut es);
+                child.process(stim, slots, env, &mut es);
+                let buf = &mut slots[id].bufs()[0];
                 for e in es.drain(..) {
                     buf.push(id, 0, e, env);
                     if buf.len() >= *n {
@@ -883,22 +1003,13 @@ impl Node {
                 env.give_buf(es);
             }
 
-            Node::Plus {
-                id,
-                child,
-                delta,
-                pending,
-            } => {
+            Node::Plus { id, child, delta } => {
                 let id = *id;
                 // Deadlines are checked against the *current* stimulus's
                 // timestamp first (lazy timer), then new bases enqueue.
                 let at = stim.seq();
-                while pending
-                    .items
-                    .front()
-                    .map(|b| b.end + *delta <= at)
-                    .unwrap_or(false)
-                {
+                let pending = &mut slots[id].bufs()[0];
+                while pending.items.front().is_some_and(|b| b.end + *delta <= at) {
                     let base = pending.pop_front(id, 0, env).expect("checked non-empty");
                     out.push(CompositeOccurrence {
                         constituents: base.constituents,
@@ -907,7 +1018,8 @@ impl Node {
                     });
                 }
                 let mut es = env.take_buf();
-                child.process(stim, env, &mut es);
+                child.process(stim, slots, env, &mut es);
+                let pending = &mut slots[id].bufs()[0];
                 for e in es.drain(..) {
                     pending.push(id, 0, e, env);
                 }
@@ -915,714 +1027,30 @@ impl Node {
             }
         }
     }
-
-    /// Locate the stateful node `target` and apply one undo entry.
-    /// Returns true when applied (search stops).
-    fn apply_undo(&mut self, target: u32, undo: NodeUndo) -> bool {
-        match self {
-            Node::Primitive { .. } => false,
-            Node::Or { left, right } => {
-                // `undo` moves into whichever branch matches; try left
-                // first, then right.
-                match left.apply_undo(target, undo.clone()) {
-                    true => true,
-                    false => right.apply_undo(target, undo),
-                }
-            }
-            Node::And {
-                id,
-                left,
-                right,
-                lbuf,
-                rbuf,
-            } => {
-                if *id == target {
-                    apply_buffer_undo(undo, lbuf, Some(rbuf));
-                    true
-                } else {
-                    match left.apply_undo(target, undo.clone()) {
-                        true => true,
-                        false => right.apply_undo(target, undo),
-                    }
-                }
-            }
-            Node::Seq {
-                id,
-                left,
-                right,
-                lbuf,
-            } => {
-                if *id == target {
-                    apply_buffer_undo(undo, lbuf, None);
-                    true
-                } else {
-                    match left.apply_undo(target, undo.clone()) {
-                        true => true,
-                        false => right.apply_undo(target, undo),
-                    }
-                }
-            }
-            Node::Any {
-                id,
-                children,
-                latest,
-                ..
-            } => {
-                if *id == target {
-                    if let NodeUndo::SetLatest { i, prev } = undo {
-                        latest[i] = prev;
-                    }
-                    true
-                } else {
-                    children
-                        .iter_mut()
-                        .any(|c| c.apply_undo(target, undo.clone()))
-                }
-            }
-            Node::Not {
-                id,
-                watch,
-                start,
-                end,
-                open,
-                violated,
-            } => {
-                if *id == target {
-                    match undo {
-                        NodeUndo::SetOpen { prev } => *open = prev,
-                        NodeUndo::SetViolated { prev } => *violated = prev,
-                        _ => {}
-                    }
-                    true
-                } else {
-                    watch.apply_undo(target, undo.clone())
-                        || start.apply_undo(target, undo.clone())
-                        || end.apply_undo(target, undo)
-                }
-            }
-            Node::Aperiodic {
-                id,
-                start,
-                each,
-                end,
-                open,
-            } => {
-                if *id == target {
-                    if let NodeUndo::SetOpen { prev } = undo {
-                        *open = prev;
-                    }
-                    true
-                } else {
-                    start.apply_undo(target, undo.clone())
-                        || each.apply_undo(target, undo.clone())
-                        || end.apply_undo(target, undo)
-                }
-            }
-            Node::Times { id, child, buf, .. } => {
-                if *id == target {
-                    apply_buffer_undo(undo, buf, None);
-                    true
-                } else {
-                    child.apply_undo(target, undo)
-                }
-            }
-            Node::Plus {
-                id, child, pending, ..
-            } => {
-                if *id == target {
-                    apply_buffer_undo(undo, pending, None);
-                    true
-                } else {
-                    child.apply_undo(target, undo)
-                }
-            }
-            Node::At { .. } | Node::Every { .. } => false,
-            Node::Within { child, .. } | Node::Window { child, .. } => {
-                child.apply_undo(target, undo)
-            }
-            Node::Aggregate {
-                id,
-                child,
-                wbuf,
-                epoch,
-                latched,
-                ..
-            } => {
-                if *id == target {
-                    match undo {
-                        NodeUndo::PopWindowBack => {
-                            wbuf.pop_back();
-                        }
-                        NodeUndo::RestoreWindow {
-                            items,
-                            epoch: e,
-                            latched: l,
-                        } => {
-                            *wbuf = items;
-                            *epoch = e;
-                            *latched = l;
-                        }
-                        NodeUndo::RestoreWindowFront { items } => {
-                            for e in items.into_iter().rev() {
-                                wbuf.push_front(e);
-                            }
-                        }
-                        NodeUndo::SetLatched { prev } => *latched = prev,
-                        _ => {}
-                    }
-                    true
-                } else {
-                    child.apply_undo(target, undo)
-                }
-            }
-        }
-    }
-
-    /// Evict operand state that has left an enclosing temporal scope:
-    /// occurrences whose scope key — `start` for the `within` axis
-    /// (`by_start`), `end` for the window axis — is at or before
-    /// `cutoff` (sequence units). Journaled, so aborts restore evicted
-    /// state like any other mutation.
-    fn evict_state(&mut self, cutoff: u64, by_start: bool, env: &mut Env<'_>) {
-        let key = |o: &CompositeOccurrence| if by_start { o.start } else { o.end };
-        match self {
-            Node::Primitive { .. } | Node::At { .. } | Node::Every { .. } => {}
-            Node::Or { left, right } => {
-                left.evict_state(cutoff, by_start, env);
-                right.evict_state(cutoff, by_start, env);
-            }
-            Node::And {
-                id,
-                left,
-                right,
-                lbuf,
-                rbuf,
-            } => {
-                left.evict_state(cutoff, by_start, env);
-                right.evict_state(cutoff, by_start, env);
-                evict_buffer(lbuf, *id, 0, cutoff, by_start, env);
-                evict_buffer(rbuf, *id, 1, cutoff, by_start, env);
-            }
-            Node::Seq {
-                id,
-                left,
-                right,
-                lbuf,
-            } => {
-                left.evict_state(cutoff, by_start, env);
-                right.evict_state(cutoff, by_start, env);
-                evict_buffer(lbuf, *id, 0, cutoff, by_start, env);
-            }
-            Node::Any {
-                id,
-                children,
-                latest,
-                ..
-            } => {
-                let id = *id;
-                for c in children.iter_mut() {
-                    c.evict_state(cutoff, by_start, env);
-                }
-                for (i, l) in latest.iter_mut().enumerate() {
-                    if l.as_ref().map(|o| key(o) <= cutoff).unwrap_or(false) {
-                        let prev = l.take();
-                        env.record(id, NodeUndo::SetLatest { i, prev });
-                    }
-                }
-            }
-            Node::Not {
-                id,
-                watch,
-                start,
-                end,
-                open,
-                violated,
-            } => {
-                let id = *id;
-                watch.evict_state(cutoff, by_start, env);
-                start.evict_state(cutoff, by_start, env);
-                end.evict_state(cutoff, by_start, env);
-                if open.as_ref().map(|o| key(o) <= cutoff).unwrap_or(false) {
-                    let prev = open.take();
-                    env.record(id, NodeUndo::SetOpen { prev });
-                    if *violated {
-                        env.record(id, NodeUndo::SetViolated { prev: true });
-                        *violated = false;
-                    }
-                }
-            }
-            Node::Aperiodic {
-                id,
-                start,
-                each,
-                end,
-                open,
-            } => {
-                let id = *id;
-                start.evict_state(cutoff, by_start, env);
-                each.evict_state(cutoff, by_start, env);
-                end.evict_state(cutoff, by_start, env);
-                if open.as_ref().map(|o| key(o) <= cutoff).unwrap_or(false) {
-                    let prev = open.take();
-                    env.record(id, NodeUndo::SetOpen { prev });
-                }
-            }
-            Node::Times { id, child, buf, .. } => {
-                child.evict_state(cutoff, by_start, env);
-                evict_buffer(buf, *id, 0, cutoff, by_start, env);
-            }
-            Node::Plus {
-                id, child, pending, ..
-            } => {
-                child.evict_state(cutoff, by_start, env);
-                evict_buffer(pending, *id, 0, cutoff, by_start, env);
-            }
-            Node::Within { child, .. } | Node::Window { child, .. } => {
-                child.evict_state(cutoff, by_start, env);
-            }
-            Node::Aggregate {
-                id,
-                child,
-                wbuf,
-                epoch,
-                latched,
-                ..
-            } => {
-                child.evict_state(cutoff, by_start, env);
-                if wbuf.iter().any(|(_, o)| key(o) <= cutoff) {
-                    if env.journaling() {
-                        env.record(
-                            *id,
-                            NodeUndo::RestoreWindow {
-                                items: wbuf.clone(),
-                                epoch: *epoch,
-                                latched: *latched,
-                            },
-                        );
-                    }
-                    wbuf.retain(|(_, o)| key(o) > cutoff);
-                }
-            }
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        match self {
-            Node::Primitive { .. } => 0,
-            Node::Or { left, right } => left.buffered() + right.buffered(),
-            Node::And {
-                left,
-                right,
-                lbuf,
-                rbuf,
-                ..
-            } => left.buffered() + right.buffered() + lbuf.len() + rbuf.len(),
-            Node::Seq {
-                left, right, lbuf, ..
-            } => left.buffered() + right.buffered() + lbuf.len(),
-            Node::Any {
-                children, latest, ..
-            } => {
-                children.iter().map(Node::buffered).sum::<usize>()
-                    + latest.iter().filter(|l| l.is_some()).count()
-            }
-            Node::Not {
-                watch,
-                start,
-                end,
-                open,
-                ..
-            } => watch.buffered() + start.buffered() + end.buffered() + usize::from(open.is_some()),
-            Node::Aperiodic {
-                start,
-                each,
-                end,
-                open,
-                ..
-            } => start.buffered() + each.buffered() + end.buffered() + usize::from(open.is_some()),
-            Node::Times { child, buf, .. } => child.buffered() + buf.len(),
-            Node::Plus { child, pending, .. } => child.buffered() + pending.len(),
-            Node::At { .. } | Node::Every { .. } => 0,
-            Node::Within { child, .. } | Node::Window { child, .. } => child.buffered(),
-            Node::Aggregate { child, wbuf, .. } => child.buffered() + wbuf.len(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Node::Primitive { .. } => {}
-            Node::Or { left, right } => {
-                left.reset();
-                right.reset();
-            }
-            Node::And {
-                left,
-                right,
-                lbuf,
-                rbuf,
-                ..
-            } => {
-                left.reset();
-                right.reset();
-                lbuf.items.clear();
-                rbuf.items.clear();
-            }
-            Node::Seq {
-                left, right, lbuf, ..
-            } => {
-                left.reset();
-                right.reset();
-                lbuf.items.clear();
-            }
-            Node::Any {
-                children, latest, ..
-            } => {
-                for c in children {
-                    c.reset();
-                }
-                for l in latest {
-                    *l = None;
-                }
-            }
-            Node::Not {
-                watch,
-                start,
-                end,
-                open,
-                violated,
-                ..
-            } => {
-                watch.reset();
-                start.reset();
-                end.reset();
-                *open = None;
-                *violated = false;
-            }
-            Node::Aperiodic {
-                start,
-                each,
-                end,
-                open,
-                ..
-            } => {
-                start.reset();
-                each.reset();
-                end.reset();
-                *open = None;
-            }
-            Node::Times { child, buf, .. } => {
-                child.reset();
-                buf.items.clear();
-            }
-            Node::Plus { child, pending, .. } => {
-                child.reset();
-                pending.items.clear();
-            }
-            Node::At { .. } | Node::Every { .. } => {}
-            Node::Within { child, .. } | Node::Window { child, .. } => {
-                // Watermark samples are clock facts, not detection
-                // state; they survive a reset.
-                child.reset();
-            }
-            Node::Aggregate {
-                child,
-                wbuf,
-                latched,
-                ..
-            } => {
-                child.reset();
-                wbuf.clear();
-                *latched = false;
-            }
-        }
-    }
-
-    /// Recompute every leaf's symbol alphabet against a grown schema
-    /// (classes defined after compile time may add subclass symbols).
-    fn refresh_alphabets(&mut self, registry: &ClassRegistry) {
-        match self {
-            Node::Primitive {
-                class,
-                method,
-                modifier,
-                alphabet,
-            } => {
-                *alphabet = leaf::alphabet(registry, *class, method, *modifier);
-            }
-            Node::Or { left, right } => {
-                left.refresh_alphabets(registry);
-                right.refresh_alphabets(registry);
-            }
-            Node::And { left, right, .. } | Node::Seq { left, right, .. } => {
-                left.refresh_alphabets(registry);
-                right.refresh_alphabets(registry);
-            }
-            Node::Any { children, .. } => {
-                for c in children {
-                    c.refresh_alphabets(registry);
-                }
-            }
-            Node::Not {
-                watch, start, end, ..
-            } => {
-                watch.refresh_alphabets(registry);
-                start.refresh_alphabets(registry);
-                end.refresh_alphabets(registry);
-            }
-            Node::Aperiodic {
-                start, each, end, ..
-            } => {
-                start.refresh_alphabets(registry);
-                each.refresh_alphabets(registry);
-                end.refresh_alphabets(registry);
-            }
-            Node::Times { child, .. } | Node::Plus { child, .. } => {
-                child.refresh_alphabets(registry);
-            }
-            Node::At { .. } | Node::Every { .. } => {}
-            Node::Within { child, .. }
-            | Node::Window { child, .. }
-            | Node::Aggregate { child, .. } => {
-                child.refresh_alphabets(registry);
-            }
-        }
-    }
-
-    /// Pre-order export of every node's state (checkpoint persistence).
-    fn export_state(&self, out: &mut Vec<NodeState>) {
-        match self {
-            Node::Primitive { .. } | Node::At { .. } | Node::Every { .. } => {
-                out.push(NodeState::Stateless);
-            }
-            Node::Or { left, right } => {
-                out.push(NodeState::Stateless);
-                left.export_state(out);
-                right.export_state(out);
-            }
-            Node::And {
-                left,
-                right,
-                lbuf,
-                rbuf,
-                ..
-            } => {
-                out.push(NodeState::Bufs(vec![
-                    lbuf.items.iter().cloned().collect(),
-                    rbuf.items.iter().cloned().collect(),
-                ]));
-                left.export_state(out);
-                right.export_state(out);
-            }
-            Node::Seq {
-                left, right, lbuf, ..
-            } => {
-                out.push(NodeState::Bufs(vec![lbuf.items.iter().cloned().collect()]));
-                left.export_state(out);
-                right.export_state(out);
-            }
-            Node::Any {
-                children, latest, ..
-            } => {
-                out.push(NodeState::Latest(latest.clone()));
-                for c in children {
-                    c.export_state(out);
-                }
-            }
-            Node::Not {
-                watch,
-                start,
-                end,
-                open,
-                violated,
-                ..
-            } => {
-                out.push(NodeState::Open {
-                    open: open.clone(),
-                    violated: *violated,
-                });
-                watch.export_state(out);
-                start.export_state(out);
-                end.export_state(out);
-            }
-            Node::Aperiodic {
-                start,
-                each,
-                end,
-                open,
-                ..
-            } => {
-                out.push(NodeState::Open {
-                    open: open.clone(),
-                    violated: false,
-                });
-                start.export_state(out);
-                each.export_state(out);
-                end.export_state(out);
-            }
-            Node::Times { child, buf, .. } => {
-                out.push(NodeState::Bufs(vec![buf.items.iter().cloned().collect()]));
-                child.export_state(out);
-            }
-            Node::Plus { child, pending, .. } => {
-                out.push(NodeState::Bufs(vec![pending
-                    .items
-                    .iter()
-                    .cloned()
-                    .collect()]));
-                child.export_state(out);
-            }
-            Node::Within { child, .. } => {
-                out.push(NodeState::Stateless);
-                child.export_state(out);
-            }
-            Node::Window { child, marks, .. } => {
-                out.push(NodeState::Marks(marks.export()));
-                child.export_state(out);
-            }
-            Node::Aggregate {
-                child,
-                wbuf,
-                epoch,
-                latched,
-                ..
-            } => {
-                out.push(NodeState::Windowed {
-                    items: wbuf.iter().cloned().collect(),
-                    epoch: *epoch,
-                    latched: *latched,
-                });
-                child.export_state(out);
-            }
-        }
-    }
-
-    /// Pre-order import matching [`export_state`](Self::export_state);
-    /// `false` on any shape mismatch.
-    fn import_state(&mut self, it: &mut std::slice::Iter<'_, NodeState>) -> bool {
-        let Some(st) = it.next() else {
-            return false;
-        };
-        match (self, st) {
-            (Node::Primitive { .. }, NodeState::Stateless)
-            | (Node::At { .. }, NodeState::Stateless)
-            | (Node::Every { .. }, NodeState::Stateless) => true,
-            (Node::Or { left, right }, NodeState::Stateless) => {
-                left.import_state(it) && right.import_state(it)
-            }
-            (
-                Node::And {
-                    left,
-                    right,
-                    lbuf,
-                    rbuf,
-                    ..
-                },
-                NodeState::Bufs(bufs),
-            ) if bufs.len() == 2 => {
-                lbuf.items = bufs[0].iter().cloned().collect();
-                rbuf.items = bufs[1].iter().cloned().collect();
-                left.import_state(it) && right.import_state(it)
-            }
-            (
-                Node::Seq {
-                    left, right, lbuf, ..
-                },
-                NodeState::Bufs(bufs),
-            ) if bufs.len() == 1 => {
-                lbuf.items = bufs[0].iter().cloned().collect();
-                left.import_state(it) && right.import_state(it)
-            }
-            (
-                Node::Any {
-                    children, latest, ..
-                },
-                NodeState::Latest(slots),
-            ) if slots.len() == latest.len() => {
-                latest.clone_from(slots);
-                children.iter_mut().all(|c| c.import_state(it))
-            }
-            (
-                Node::Not {
-                    watch,
-                    start,
-                    end,
-                    open,
-                    violated,
-                    ..
-                },
-                NodeState::Open {
-                    open: o,
-                    violated: v,
-                },
-            ) => {
-                *open = o.clone();
-                *violated = *v;
-                watch.import_state(it) && start.import_state(it) && end.import_state(it)
-            }
-            (
-                Node::Aperiodic {
-                    start,
-                    each,
-                    end,
-                    open,
-                    ..
-                },
-                NodeState::Open { open: o, .. },
-            ) => {
-                *open = o.clone();
-                start.import_state(it) && each.import_state(it) && end.import_state(it)
-            }
-            (Node::Times { child, buf, .. }, NodeState::Bufs(bufs)) if bufs.len() == 1 => {
-                buf.items = bufs[0].iter().cloned().collect();
-                child.import_state(it)
-            }
-            (Node::Plus { child, pending, .. }, NodeState::Bufs(bufs)) if bufs.len() == 1 => {
-                pending.items = bufs[0].iter().cloned().collect();
-                child.import_state(it)
-            }
-            (Node::Within { child, .. }, NodeState::Stateless) => child.import_state(it),
-            (Node::Window { child, marks, .. }, NodeState::Marks(samples)) => {
-                *marks = Watermarks::import(samples.clone());
-                child.import_state(it)
-            }
-            (
-                Node::Aggregate {
-                    child,
-                    wbuf,
-                    epoch,
-                    latched,
-                    ..
-                },
-                NodeState::Windowed {
-                    items,
-                    epoch: e,
-                    latched: l,
-                },
-            ) => {
-                *wbuf = items.iter().cloned().collect();
-                *epoch = *e;
-                *latched = *l;
-                child.import_state(it)
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::restore_props::journaled_state;
     use super::*;
-    use crate::spec::PrimitiveEventSpec as P;
+    use crate::spec::{EventModifier, PrimitiveEventSpec as P};
     use sentinel_object::{ClassDecl, Oid, Value};
     use std::sync::Arc;
 
-    /// Schema with two reactive classes used throughout.
+    /// Schema with two reactive classes used throughout. Leaves match by
+    /// interned symbol, so every method a test sends is declared here.
     fn registry() -> ClassRegistry {
         let mut reg = ClassRegistry::new();
-        reg.define(ClassDecl::reactive("Stock").method("SetPrice", &[]))
-            .unwrap();
-        reg.define(ClassDecl::reactive("FinancialInfo").method("SetValue", &[]))
-            .unwrap();
+        let stock = ["SetPrice", "a", "b", "c", "e", "m", "s", "w", "x"]
+            .iter()
+            .fold(ClassDecl::reactive("Stock"), |d, &m| d.method(m, &[]));
+        reg.define(stock).unwrap();
+        reg.define(
+            ClassDecl::reactive("FinancialInfo")
+                .method("SetValue", &[])
+                .method("c", &[]),
+        )
+        .unwrap();
         reg.define(ClassDecl::reactive("Growth").parent("Stock"))
             .unwrap();
         reg
@@ -1965,8 +1393,8 @@ mod tests {
     // Journal (transactional detection state) tests
     // -----------------------------------------------------------------
 
-    /// Drive the same stream through a journaled detector (which then
-    /// aborts) and assert its state equals the pre-transaction clone.
+    /// Drive `during` through a journaled detector that then aborts, and
+    /// assert its state equals the pre-transaction state exactly.
     fn assert_abort_restores(
         expr: &EventExpr,
         ctx: ParamContext,
@@ -1978,27 +1406,13 @@ mod tests {
         for o in pre {
             d.process(reg, o);
         }
-        let snapshot = d.clone();
+        let before = journaled_state(&d);
         d.begin_txn();
         for o in during {
             d.process(reg, o);
         }
         d.abort_txn();
-        // Equality via behaviour: same buffered count and identical
-        // emissions for a common probe suffix.
-        assert_eq!(d.buffered(), snapshot.buffered(), "buffered after abort");
-        let mut d2 = snapshot;
-        let probe: Vec<PrimitiveOccurrence> = (1000..1010)
-            .map(|t| occ(reg, t, "Stock", "SetPrice"))
-            .chain((1010..1020).map(|t| occ(reg, t, "FinancialInfo", "SetValue")))
-            .collect();
-        for o in &probe {
-            assert_eq!(
-                d.process(reg, o),
-                d2.process(reg, o),
-                "behavioural divergence after abort"
-            );
-        }
+        assert_eq!(journaled_state(&d), before, "{expr} under {ctx:?}");
     }
 
     #[test]
@@ -2108,7 +1522,7 @@ mod tests {
 #[cfg(test)]
 mod extension_op_tests {
     use super::*;
-    use crate::spec::PrimitiveEventSpec as P;
+    use crate::spec::{EventModifier, PrimitiveEventSpec as P};
     use sentinel_object::{ClassDecl, Oid, Value};
     use std::sync::Arc;
 
@@ -2271,9 +1685,10 @@ mod extension_op_tests {
 
 #[cfg(test)]
 mod temporal_op_tests {
+    use super::restore_props::journaled_state;
     use super::*;
     use crate::algebra::AggFn;
-    use crate::spec::PrimitiveEventSpec as P;
+    use crate::spec::{EventModifier, PrimitiveEventSpec as P};
     use sentinel_object::{ClassDecl, Oid, Value};
     use std::sync::Arc;
 
@@ -2305,15 +1720,9 @@ mod temporal_op_tests {
         EventExpr::primitive(P::end("C", m))
     }
 
-    fn tick(
-        d: &mut DetectorInstance,
-        reg: &ClassRegistry,
-        idx: usize,
-        due: u64,
-        seq: u64,
-    ) -> Vec<CompositeOccurrence> {
+    fn tick(d: &mut DetectorInstance, idx: usize, due: u64, seq: u64) -> Vec<CompositeOccurrence> {
         let mut out = Vec::new();
-        d.process_timer(reg, idx, due, seq, &mut out);
+        d.process_timer(idx, due, seq, &mut out);
         out
     }
 
@@ -2350,7 +1759,7 @@ mod temporal_op_tests {
         let mut d = DetectorInstance::compile_default(&EventExpr::at(5), &reg).unwrap();
         // Primitive occurrences never match a timer leaf.
         assert!(d.process(&reg, &occ(&reg, 1, "m")).is_empty());
-        let got = tick(&mut d, &reg, 0, 5, 2);
+        let got = tick(&mut d, 0, 5, 2);
         assert_eq!(got.len(), 1);
         assert!(got[0].constituents.is_empty(), "a tick has no parameters");
         assert_eq!((got[0].start, got[0].end), (2, 2));
@@ -2364,12 +1773,12 @@ mod temporal_op_tests {
         let expr = leaf("m").then(EventExpr::every(10));
         let mut d = DetectorInstance::compile_default(&expr, &reg).unwrap();
         d.process(&reg, &occ(&reg, 5, "m"));
-        let got = tick(&mut d, &reg, 0, 10, 6);
+        let got = tick(&mut d, 0, 10, 6);
         assert_eq!(got.len(), 1);
         assert_eq!((got[0].start, got[0].end), (5, 6));
         assert_eq!(got[0].constituents.len(), 1, "only the event constituent");
         // A fire addressed to a different leaf index is ignored.
-        assert!(tick(&mut d, &reg, 1, 20, 7).is_empty());
+        assert!(tick(&mut d, 1, 20, 7).is_empty());
     }
 
     #[test]
@@ -2385,10 +1794,10 @@ mod temporal_op_tests {
         .unwrap();
         d.process(&reg, &occ(&reg, 1, "m"));
         d.begin_txn();
-        assert_eq!(tick(&mut d, &reg, 0, 5, 2).len(), 1);
+        assert_eq!(tick(&mut d, 0, 5, 2).len(), 1);
         d.abort_txn();
         // The consumed left is re-armed: the next fire pairs again.
-        assert_eq!(tick(&mut d, &reg, 0, 10, 3).len(), 1);
+        assert_eq!(tick(&mut d, 0, 10, 3).len(), 1);
     }
 
     #[test]
@@ -2585,23 +1994,198 @@ mod temporal_op_tests {
                 for o in &pre {
                     d.process(&reg, o);
                 }
-                let snapshot = d.clone();
+                let before = journaled_state(&d);
                 d.begin_txn();
                 for o in &during {
                     d.process(&reg, o);
                 }
                 d.abort_txn();
-                assert_eq!(d.buffered(), snapshot.buffered(), "buffered after abort");
-                let mut d2 = snapshot;
-                for t in 100..110 {
-                    let m = if t % 2 == 0 { "m" } else { "x" };
-                    assert_eq!(
-                        d.process(&reg, &occ(&reg, t, m)),
-                        d2.process(&reg, &occ(&reg, t, m)),
-                        "behavioural divergence after abort"
-                    );
-                }
+                assert_eq!(journaled_state(&d), before, "{expr} under {ctx:?}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod restore_props {
+    //! Exact-restore properties over random expression trees: an aborted
+    //! transaction leaves the exported state *equal* to its pre-state,
+    //! and a checkpoint export round-trips through JSON unchanged.
+
+    use super::*;
+    use crate::algebra::AggFn;
+    use crate::spec::{EventModifier, PrimitiveEventSpec as P};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use sentinel_object::{ClassDecl, Oid, Value};
+
+    const METHODS: [&str; 3] = ["a", "b", "c"];
+
+    fn registry() -> ClassRegistry {
+        let mut reg = ClassRegistry::new();
+        reg.define(
+            ClassDecl::reactive("C")
+                .method("a", &[])
+                .method("b", &[])
+                .method("c", &[]),
+        )
+        .unwrap();
+        reg
+    }
+
+    /// A random expression over `C::{a, b, c}` using every stateful
+    /// operator; `depth` bounds the nesting.
+    fn expr(rng: &mut TestRng, depth: u32) -> EventExpr {
+        let leaf =
+            |rng: &mut TestRng| EventExpr::primitive(P::end("C", METHODS[rng.below(3) as usize]));
+        if depth == 0 || rng.below(4) == 0 {
+            return leaf(rng);
+        }
+        let sub = |rng: &mut TestRng| expr(rng, depth - 1);
+        match rng.below(11) {
+            0 => sub(rng).and(sub(rng)),
+            1 => sub(rng).or(sub(rng)),
+            2 => sub(rng).then(sub(rng)),
+            3 => {
+                let n = 2 + rng.below(2) as usize;
+                let children = (0..n).map(|_| sub(rng)).collect();
+                EventExpr::any(1 + rng.below(n as u64) as usize, children)
+            }
+            4 => EventExpr::not_between(sub(rng), sub(rng), sub(rng)),
+            5 => EventExpr::aperiodic(sub(rng), sub(rng), sub(rng)),
+            6 => sub(rng).times(1 + rng.below(3) as usize),
+            7 => sub(rng).plus(1 + rng.below(6)),
+            8 => sub(rng).within(2 + rng.below(8)),
+            9 => match rng.below(2) {
+                0 => sub(rng).sliding_window(2 + rng.below(8)),
+                _ => sub(rng).tumbling_window(2 + rng.below(8)),
+            },
+            _ => {
+                let agg = match rng.below(2) {
+                    0 => AggFn::Count,
+                    _ => AggFn::Sum(0),
+                };
+                let threshold = 1 + rng.below(6) as i64;
+                sub(rng).aggregate(2 + rng.below(8), rng.below(2) == 0, agg, threshold)
+            }
+        }
+    }
+
+    /// Feeds a random stream on two axes: seqs step by one, instants by
+    /// 0..=2 (so several stimuli may share an instant).
+    struct Feed {
+        seq: u64,
+        now: u64,
+    }
+
+    impl Feed {
+        fn step(&mut self, rng: &mut TestRng, reg: &ClassRegistry, d: &mut DetectorInstance) {
+            self.seq += 1;
+            self.now += rng.below(3);
+            let cid = reg.id_of("C").unwrap();
+            let o = PrimitiveOccurrence {
+                at: self.seq,
+                oid: Oid(1 + rng.below(3)),
+                class: cid,
+                owner: cid,
+                method: METHODS[rng.below(3) as usize].into(),
+                modifier: EventModifier::End,
+                params: Arc::from(vec![Value::Int(rng.below(4) as i64)]),
+            };
+            let sym = o.sym(reg);
+            d.process_at(reg, &o, sym, self.now, &mut Vec::new());
+        }
+    }
+
+    /// The export with `Window` watermark samples blanked: they are clock
+    /// facts (the clock never rewinds), deliberately unjournaled.
+    pub(super) fn journaled_state(d: &DetectorInstance) -> Vec<NodeState> {
+        d.export_state()
+            .nodes
+            .into_iter()
+            .map(|n| match n {
+                NodeState::Marks(_) => NodeState::Marks(Vec::new()),
+                n => n,
+            })
+            .collect()
+    }
+
+    fn assert_round_trips(d: &DetectorInstance) {
+        let st = d.export_state();
+        let json = serde_json::to_vec(&st).unwrap();
+        let back: DetectorState = serde_json::from_slice(&json).unwrap();
+        let mut fresh = d.clone();
+        fresh.reset();
+        assert!(fresh.import_state(&back), "own export re-imports");
+        assert_eq!(
+            fresh.export_state(),
+            st,
+            "export -> JSON -> import -> export"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn abort_restores_the_exact_export(seed in any::<u64>()) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let reg = registry();
+            let e = expr(&mut rng, 3);
+            let ctx = ParamContext::ALL[rng.below(5) as usize];
+            let caps = DetectorCaps {
+                max_buffered_per_node: 2 + rng.below(6) as usize,
+            };
+            let mut d = DetectorInstance::compile(&e, &reg, ctx, caps).unwrap();
+            let mut feed = Feed { seq: 0, now: 0 };
+            for _ in 0..rng.below(30) {
+                feed.step(&mut rng, &reg, &mut d);
+            }
+            assert_round_trips(&d);
+            let pre = journaled_state(&d);
+            d.begin_txn();
+            for _ in 0..rng.below(30) {
+                if rng.below(25) == 0 {
+                    d.reset();
+                } else {
+                    feed.step(&mut rng, &reg, &mut d);
+                }
+            }
+            assert_round_trips(&d);
+            d.abort_txn();
+            prop_assert_eq!(journaled_state(&d), pre, "expr {} under {:?}", e, ctx);
+            assert_round_trips(&d);
+        }
+    }
+
+    /// A checkpoint written before the detector kept its state in a slot
+    /// arena: `A ; B` with one `A` (seq 7, oid 3, parameter 42)
+    /// buffered. It imports unchanged and completes on `B`.
+    #[test]
+    fn golden_checkpoint_imports_and_completes() {
+        const GOLDEN: &str = r#"{"nodes":[{"Bufs":[[{"constituents":[{"at":7,"oid":3,"class":0,"owner":0,"method":"A","modifier":"End","params":[{"Int":42}]}],"start":7,"end":7}]]},"Stateless","Stateless"]}"#;
+        let mut reg = ClassRegistry::new();
+        reg.define(ClassDecl::reactive("Src").method("A", &[]).method("B", &[]))
+            .unwrap();
+        let prim = |m: &str| EventExpr::primitive(P::end("Src", m));
+        let mut d = DetectorInstance::compile_default(&prim("A").then(prim("B")), &reg).unwrap();
+        let st: DetectorState = serde_json::from_str(GOLDEN).unwrap();
+        assert!(d.import_state(&st));
+        assert_eq!(d.buffered(), 1);
+        assert_eq!(serde_json::to_string(&d.export_state()).unwrap(), GOLDEN);
+        let cid = reg.id_of("Src").unwrap();
+        let b = PrimitiveOccurrence {
+            at: 8,
+            oid: Oid(3),
+            class: cid,
+            owner: cid,
+            method: "B".into(),
+            modifier: EventModifier::End,
+            params: Arc::from(vec![Value::Int(43)]),
+        };
+        let got = d.process(&reg, &b);
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].start, got[0].end), (7, 8));
+        assert_eq!(got[0].constituents[0].params[0], Value::Int(42));
     }
 }

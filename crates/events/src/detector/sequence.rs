@@ -12,7 +12,7 @@ use super::state::{Buffer, Env, NodeUndo};
 /// left occurrences `le`, pairs the new right ones `re`, and appends
 /// detections to `out`.
 pub(super) fn pair_seq(
-    id: u32,
+    id: usize,
     le: &mut Vec<CompositeOccurrence>,
     re: &[CompositeOccurrence],
     lbuf: &mut Buffer,

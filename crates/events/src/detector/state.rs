@@ -1,12 +1,15 @@
-//! Detection-state machinery shared by every operator node: the
-//! per-transaction undo journal (entry types + buffer-shaped replay)
-//! and the bounded occurrence buffers that hold partial detections.
+//! Detection state, kept apart from the operator tree: one [`Slot`] per
+//! node in a flat arena indexed by the node's pre-order id, the undo
+//! journal whose entries address those slots, and the bounded occurrence
+//! buffers that hold partial detections.
 
 use crate::context::ParamContext;
 use crate::occurrence::{CompositeOccurrence, PrimitiveOccurrence};
-use sentinel_object::{ClassRegistry, EventSym};
+use sentinel_object::EventSym;
 use std::collections::VecDeque;
 
+use super::leaf::Leaf;
+use super::window::Watermarks;
 use super::{DetectorCaps, Node};
 
 /// One stimulus driven through the node tree: either a primitive
@@ -34,8 +37,8 @@ impl Stim<'_> {
 /// arrived at the window node.
 pub(super) type WindowBuf = VecDeque<(u64, CompositeOccurrence)>;
 
-/// Inverse of one state mutation, tagged with the stateful node it
-/// applies to. Entries are applied in reverse journal order on abort.
+/// Inverse of one state mutation, applied to the slot of the node that
+/// recorded it. Entries are applied in reverse journal order on abort.
 #[derive(Debug, Clone)]
 pub(super) enum NodeUndo {
     /// Undo an append to a buffer side.
@@ -82,25 +85,25 @@ pub(super) enum NodeUndo {
 #[derive(Debug, Clone)]
 pub(super) enum JournalEntry {
     Node {
-        node: u32,
+        node: usize,
         undo: NodeUndo,
     },
-    /// A full pre-state snapshot (recorded by `reset` when a journal is
-    /// active — rare, so the clone is acceptable there).
-    Full(Box<Node>),
+    /// Every slot's pre-state (recorded by `reset` when a journal is
+    /// active — rare, so the clone is acceptable there). The operator
+    /// tree and the leaf alphabets are not detection state and stay out.
+    Full(Vec<Slot>),
 }
 
 /// Per-call environment threaded through the node recursion.
 pub(super) struct Env<'a> {
-    pub(super) registry: &'a ClassRegistry,
+    /// The detector's primitive leaves (`Node::Primitive` indexes here).
+    pub(super) leaves: &'a [Leaf],
     /// The occurrence's interned symbol (`None` = out-of-schema event).
     pub(super) sym: Option<EventSym>,
     pub(super) context: ParamContext,
     pub(super) caps: DetectorCaps,
-    /// The stimulus's position on the instant axis (from the detector's
-    /// [`TimeSource`](crate::clock::TimeSource); falls back to the
-    /// stimulus's seq when none is attached — logical-mode semantics).
-    /// Windows and epochs are measured on this axis.
+    /// The stimulus's position on the instant axis, which windows and
+    /// epochs are measured on (the caller reads it once per stimulus).
     pub(super) now: u64,
     pub(super) matched: bool,
     pub(super) dropped: u64,
@@ -111,7 +114,7 @@ pub(super) struct Env<'a> {
 
 impl Env<'_> {
     #[inline]
-    pub(super) fn record(&mut self, node: u32, undo: NodeUndo) {
+    pub(super) fn record(&mut self, node: usize, undo: NodeUndo) {
         if let Some(j) = self.journal.as_deref_mut() {
             j.push(JournalEntry::Node { node, undo });
         }
@@ -140,12 +143,13 @@ impl Env<'_> {
     /// from its emissions (the buffer goes back to the pool).
     pub(super) fn drive<R>(
         &mut self,
-        node: &mut Node,
+        node: &Node,
+        slots: &mut [Slot],
         stim: &Stim<'_>,
         pick: impl FnOnce(&mut Vec<CompositeOccurrence>) -> R,
     ) -> R {
         let mut es = self.take_buf();
-        node.process(stim, self, &mut es);
+        node.process(stim, slots, self, &mut es);
         let picked = pick(&mut es);
         self.give_buf(es);
         picked
@@ -162,7 +166,7 @@ impl Buffer {
     /// Append, honouring the cap; journals the append (and any cap-drop).
     pub(super) fn push(
         &mut self,
-        node: u32,
+        node: usize,
         side: u8,
         occ: CompositeOccurrence,
         env: &mut Env<'_>,
@@ -183,7 +187,7 @@ impl Buffer {
     /// regrows the side's storage.
     pub(super) fn retain_only(
         &mut self,
-        node: u32,
+        node: usize,
         side: u8,
         occ: CompositeOccurrence,
         env: &mut Env<'_>,
@@ -201,7 +205,7 @@ impl Buffer {
     /// Consume from the front; journals the consumption.
     pub(super) fn pop_front(
         &mut self,
-        node: u32,
+        node: usize,
         side: u8,
         env: &mut Env<'_>,
     ) -> Option<CompositeOccurrence> {
@@ -219,7 +223,7 @@ impl Buffer {
     }
 
     /// Drop everything; journals the old contents.
-    pub(super) fn clear(&mut self, node: u32, side: u8, env: &mut Env<'_>) {
+    pub(super) fn clear(&mut self, node: usize, side: u8, env: &mut Env<'_>) {
         if self.items.is_empty() {
             return;
         }
@@ -234,67 +238,191 @@ impl Buffer {
     }
 }
 
-/// Evict from `buf` every occurrence whose scope key (`start` when
-/// `by_start`, the `within` axis; `end` otherwise, the window axis) is
-/// at or before `cutoff`. Journals the pre-eviction contents when
-/// anything is evicted.
-pub(super) fn evict_buffer(
-    buf: &mut Buffer,
-    node: u32,
-    side: u8,
-    cutoff: u64,
-    by_start: bool,
-    env: &mut Env<'_>,
-) {
-    let key = |o: &CompositeOccurrence| if by_start { o.start } else { o.end };
-    if !buf.items.iter().any(|o| key(o) <= cutoff) {
-        return;
-    }
-    if env.journaling() {
-        env.record(
-            node,
-            NodeUndo::RestoreSide {
-                side,
-                items: buf.items.clone(),
-            },
-        );
-    }
-    buf.items.retain(|o| key(o) > cutoff);
+/// One node's detection state. Every node owns exactly one slot, at its
+/// pre-order id, so a subtree's slots are one contiguous range; the
+/// variant is fixed by the node's operator at compile time. Undo, reset,
+/// scope eviction and checkpointing are loops over the arena (or a
+/// range of it) that never walk the tree.
+#[derive(Debug, Clone)]
+pub(super) enum Slot {
+    /// Primitive and timer leaves, `Or`, `Within`.
+    Stateless,
+    /// Operand buffers: `And` (two sides), `Seq` / `Times` / `Plus` (one).
+    Bufs(Vec<Buffer>),
+    /// `Any`'s latest occurrence per child.
+    Latest(Vec<Option<CompositeOccurrence>>),
+    /// `Not` / `Aperiodic`: the open window's initiator and (`Not` only)
+    /// whether the watched event occurred inside it.
+    Open {
+        open: Option<CompositeOccurrence>,
+        violated: bool,
+    },
+    /// `Aggregate`'s instant-stamped window, tumbling epoch and latch.
+    Windowed {
+        items: WindowBuf,
+        epoch: u64,
+        latched: bool,
+    },
+    /// `Window`'s instant→seq watermarks. Clock facts rather than
+    /// detection state: neither journaled nor cleared by a reset.
+    Marks(Watermarks),
 }
 
-/// Apply a buffer-shaped undo to an And node (both sides) or a Seq node
-/// (left side only; `rbuf` is `None`).
-pub(super) fn apply_buffer_undo(undo: NodeUndo, lbuf: &mut Buffer, rbuf: Option<&mut Buffer>) {
-    let side_of = |undo: &NodeUndo| match undo {
-        NodeUndo::PopBack { side }
-        | NodeUndo::ReplaceBack { side, .. }
-        | NodeUndo::PushFront { side, .. }
-        | NodeUndo::RestoreSide { side, .. } => Some(*side),
-        _ => None,
-    };
-    let buf = match side_of(&undo) {
-        Some(0) => lbuf,
-        Some(1) => match rbuf {
-            Some(r) => r,
-            None => return,
-        },
-        _ => return,
-    };
-    match undo {
-        NodeUndo::PopBack { .. } => {
-            buf.items.pop_back();
+impl Slot {
+    pub(super) fn bufs(&mut self) -> &mut [Buffer] {
+        match self {
+            Slot::Bufs(bufs) => bufs,
+            other => unreachable!("buffer access to {other:?}"),
         }
-        NodeUndo::ReplaceBack { prev, .. } => {
-            if let Some(back) = buf.items.back_mut() {
-                *back = prev;
+    }
+
+    pub(super) fn latest(&mut self) -> &mut [Option<CompositeOccurrence>] {
+        match self {
+            Slot::Latest(latest) => latest,
+            other => unreachable!("latest access to {other:?}"),
+        }
+    }
+
+    pub(super) fn open(&mut self) -> (&mut Option<CompositeOccurrence>, &mut bool) {
+        match self {
+            Slot::Open { open, violated } => (open, violated),
+            other => unreachable!("open access to {other:?}"),
+        }
+    }
+
+    /// Apply one journaled inverse.
+    pub(super) fn undo(&mut self, undo: NodeUndo) {
+        match (self, undo) {
+            (Slot::Bufs(b), NodeUndo::PopBack { side }) => {
+                b[usize::from(side)].items.pop_back();
             }
+            (Slot::Bufs(b), NodeUndo::ReplaceBack { side, prev }) => {
+                if let Some(back) = b[usize::from(side)].items.back_mut() {
+                    *back = prev;
+                }
+            }
+            (Slot::Bufs(b), NodeUndo::PushFront { side, occ }) => {
+                b[usize::from(side)].items.push_front(occ);
+            }
+            (Slot::Bufs(b), NodeUndo::RestoreSide { side, items }) => {
+                b[usize::from(side)].items = items;
+            }
+            (Slot::Latest(latest), NodeUndo::SetLatest { i, prev }) => latest[i] = prev,
+            (Slot::Open { open, .. }, NodeUndo::SetOpen { prev }) => *open = prev,
+            (Slot::Open { violated, .. }, NodeUndo::SetViolated { prev }) => *violated = prev,
+            (Slot::Windowed { items, .. }, NodeUndo::PopWindowBack) => {
+                items.pop_back();
+            }
+            (
+                Slot::Windowed {
+                    items,
+                    epoch,
+                    latched,
+                },
+                NodeUndo::RestoreWindow {
+                    items: i,
+                    epoch: e,
+                    latched: l,
+                },
+            ) => {
+                *items = i;
+                *epoch = e;
+                *latched = l;
+            }
+            (Slot::Windowed { items, .. }, NodeUndo::RestoreWindowFront { items: front }) => {
+                for e in front.into_iter().rev() {
+                    items.push_front(e);
+                }
+            }
+            (Slot::Windowed { latched, .. }, NodeUndo::SetLatched { prev }) => *latched = prev,
+            (slot, undo) => unreachable!("undo {undo:?} does not fit {slot:?}"),
         }
-        NodeUndo::PushFront { occ, .. } => {
-            buf.items.push_front(occ);
+    }
+
+    /// Discard the partial detection (the tumbling epoch and the
+    /// watermarks are positions on the clock, and survive).
+    pub(super) fn reset(&mut self) {
+        match self {
+            Slot::Bufs(bufs) => bufs.iter_mut().for_each(|b| b.items.clear()),
+            Slot::Latest(latest) => latest.fill(None),
+            Slot::Open { open, violated } => {
+                *open = None;
+                *violated = false;
+            }
+            Slot::Windowed { items, latched, .. } => {
+                items.clear();
+                *latched = false;
+            }
+            Slot::Stateless | Slot::Marks(_) => {}
         }
-        NodeUndo::RestoreSide { items, .. } => {
-            buf.items = items;
+    }
+
+    /// Occurrences held (the detector-state metric of experiment E12).
+    pub(super) fn buffered(&self) -> usize {
+        match self {
+            Slot::Bufs(bufs) => bufs.iter().map(Buffer::len).sum(),
+            Slot::Latest(latest) => latest.iter().flatten().count(),
+            Slot::Open { open, .. } => usize::from(open.is_some()),
+            Slot::Windowed { items, .. } => items.len(),
+            Slot::Stateless | Slot::Marks(_) => 0,
         }
-        _ => {}
+    }
+
+    /// Evict occurrences that have left an enclosing temporal scope:
+    /// those whose scope key — `start` for the `within` axis
+    /// (`by_start`), `end` for the window axis — is at or before
+    /// `cutoff` (sequence units). Journaled against slot `id`, so aborts
+    /// restore evicted state like any other mutation.
+    pub(super) fn evict(&mut self, id: usize, cutoff: u64, by_start: bool, env: &mut Env<'_>) {
+        let stale = |o: &CompositeOccurrence| (if by_start { o.start } else { o.end }) <= cutoff;
+        match self {
+            Slot::Bufs(bufs) => {
+                for (side, buf) in (0u8..).zip(bufs.iter_mut()) {
+                    if buf.items.iter().any(stale) {
+                        if env.journaling() {
+                            let items = buf.items.clone();
+                            env.record(id, NodeUndo::RestoreSide { side, items });
+                        }
+                        buf.items.retain(|o| !stale(o));
+                    }
+                }
+            }
+            Slot::Latest(latest) => {
+                for (i, l) in latest.iter_mut().enumerate() {
+                    if l.as_ref().is_some_and(stale) {
+                        let prev = l.take();
+                        env.record(id, NodeUndo::SetLatest { i, prev });
+                    }
+                }
+            }
+            Slot::Open { open, violated } => {
+                if open.as_ref().is_some_and(stale) {
+                    let prev = open.take();
+                    env.record(id, NodeUndo::SetOpen { prev });
+                    if *violated {
+                        env.record(id, NodeUndo::SetViolated { prev: true });
+                        *violated = false;
+                    }
+                }
+            }
+            Slot::Windowed {
+                items,
+                epoch,
+                latched,
+            } => {
+                if items.iter().any(|(_, o)| stale(o)) {
+                    if env.journaling() {
+                        let undo = NodeUndo::RestoreWindow {
+                            items: items.clone(),
+                            epoch: *epoch,
+                            latched: *latched,
+                        };
+                        env.record(id, undo);
+                    }
+                    items.retain(|(_, o)| !stale(o));
+                }
+            }
+            Slot::Stateless | Slot::Marks(_) => {}
+        }
     }
 }

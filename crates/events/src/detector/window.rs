@@ -113,7 +113,7 @@ pub(super) fn window_cutoff(
 /// into `out` on an unlatched threshold crossing.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn step_aggregate(
-    id: u32,
+    id: usize,
     arrivals: &mut Vec<CompositeOccurrence>,
     size: u64,
     tumbling: bool,

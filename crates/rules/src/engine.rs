@@ -944,7 +944,6 @@ impl RuleEngine {
     /// primitive occurrences.
     pub fn drain_timers(
         &mut self,
-        registry: &ClassRegistry,
         now: u64,
         mut next_seq: impl FnMut() -> u64,
     ) -> Result<Vec<ReadyFiring>> {
@@ -989,7 +988,7 @@ impl RuleEngine {
             let target = rule.oid;
             if rule
                 .detector
-                .process_timer(registry, idx, fire.due, seq, &mut self.completions)
+                .process_timer(idx, fire.due, seq, &mut self.completions)
                 > 0
             {
                 self.schedule_completions(rid, target, fire.due, &mut immediate)?;
@@ -1513,7 +1512,7 @@ mod tests {
         assert_eq!(eng.timer_count(), 1);
         let mut seq = 100u64;
         let fired = eng
-            .drain_timers(&reg, 25, || {
+            .drain_timers(25, || {
                 seq += 1;
                 seq
             })
@@ -1525,7 +1524,7 @@ mod tests {
         assert_eq!(fired[1].firing.occurrence.end, 102);
         assert_eq!(eng.rule(r).unwrap().stats.triggered, 2);
         // Nothing new due yet.
-        assert!(eng.drain_timers(&reg, 29, || 0).unwrap().is_empty());
+        assert!(eng.drain_timers(29, || 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1541,14 +1540,14 @@ mod tests {
             .unwrap();
         eng.disable(r).unwrap();
         assert_eq!(eng.timer_count(), 0);
-        assert!(eng.drain_timers(&reg, 50, || 1).unwrap().is_empty());
+        assert!(eng.drain_timers(50, || 1).unwrap().is_empty());
         // Re-enabling schedules at the next boundary after the cursor —
         // the elapsed periods are not replayed.
         eng.enable(r).unwrap();
         assert_eq!(eng.timer_count(), 1);
         let mut seq = 0u64;
         let fired = eng
-            .drain_timers(&reg, 60, || {
+            .drain_timers(60, || {
                 seq += 1;
                 seq
             })
@@ -1583,7 +1582,7 @@ mod tests {
         eng.begin_capture();
         let mut seq = 1u64;
         let fired = eng
-            .drain_timers(&reg, 10, || {
+            .drain_timers(10, || {
                 seq += 1;
                 seq
             })
@@ -1592,7 +1591,7 @@ mod tests {
         eng.discard_pending();
         eng.abort_capture();
         let fired = eng
-            .drain_timers(&reg, 20, || {
+            .drain_timers(20, || {
                 seq += 1;
                 seq
             })

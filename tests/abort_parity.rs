@@ -8,6 +8,9 @@
 //!
 //! * a regression test for disabling a rule inside a transaction that
 //!   then aborts (the rule's committed partial detection must survive);
+//! * a regression test for the same abort when a subclass was defined
+//!   in the transaction (restoring detection state must not restore the
+//!   rule's pre-transaction event alphabet);
 //! * a database-level property test: random sends, `disable_rule` /
 //!   `enable_rule`, `add_rule` and `advance_time` inside transactions
 //!   that randomly commit or abort must leave per-rule buffered counts
@@ -68,6 +71,36 @@ fn disabling_inside_an_aborted_transaction_keeps_committed_partial_detection() {
     let before = db.rule_stats("AthenB").unwrap().actions_run;
     db.send(src, "B", &[Value::Int(2)]).unwrap();
     assert_eq!(db.rule_stats("AthenB").unwrap().actions_run, before + 1);
+}
+
+#[test]
+fn aborted_reset_keeps_alphabets_of_classes_defined_in_the_transaction() {
+    // Class definitions are not transactional, but a rule's detection
+    // state is. Disabling a rule inside a transaction journals its
+    // pre-reset state; aborting restores that state and nothing else, so
+    // a subclass defined in the aborted transaction still reaches the
+    // rule afterwards.
+    let mut db = Database::new();
+    db.define_class(src_class()).unwrap();
+    noop_body(&mut db, "A");
+    let src = db.create("Src").unwrap();
+    db.add_rule(RuleDef::new("R", prim("A"), ACTION_NOOP))
+        .unwrap();
+    db.subscribe(src, "R").unwrap();
+
+    db.begin().unwrap();
+    db.disable_rule("R").unwrap();
+    db.define_class(ClassDecl::reactive("Late").parent("Src"))
+        .unwrap();
+    db.enable_rule("R").unwrap();
+    db.send(src, "A", &[Value::Int(1)]).unwrap();
+    db.abort().unwrap();
+
+    let late = db.create("Late").unwrap();
+    db.subscribe(late, "R").unwrap();
+    let before = db.rule_stats("R").unwrap().actions_run;
+    db.send(late, "A", &[Value::Int(2)]).unwrap();
+    assert_eq!(db.rule_stats("R").unwrap().actions_run, before + 1);
 }
 
 /// Period of the timer rule; aborted transactions never cross one of
