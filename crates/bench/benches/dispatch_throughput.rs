@@ -1,11 +1,14 @@
 //! Routing-index dispatch throughput: occurrences/sec on a many-rules
-//! hot object with symbol-keyed routing vs. full per-object fan-out.
+//! hot object with symbol-keyed routing vs. ADAM-style centralized
+//! dispatch of the same rule set.
 //!
-//! The scenario is the routing index's target case: 400 rules subscribed
-//! to one hot object, each watching a single one of its 40 event
-//! methods. With routing, an occurrence notifies only the 10 rules whose
-//! alphabet contains its symbol; without it, all 400 subscribers are
-//! notified and 390 detectors reject the occurrence.
+//! The scenario is the routing index's target case: 400 rules watching
+//! one hot object, each for a single one of its 40 event methods. With
+//! routing, an occurrence notifies only the 10 rules whose alphabet
+//! contains its symbol. The ADAM baseline (`sentinel-baselines`)
+//! attaches the same 400 rules to the class and scans all of them twice
+//! per send (before and after the method body), evaluating the 10 whose
+//! event matches.
 //!
 //! A custom harness (not Criterion) so the run can assert the
 //! notification counts, compute the speedup, and record the result in
@@ -13,7 +16,8 @@
 //! smoke mode: a short run with the same functional assertions that
 //! leaves the committed JSON untouched.
 
-use sentinel_bench::scenarios::routing_scenario;
+use sentinel_baselines::ActiveEngine;
+use sentinel_bench::scenarios::{adam_routing_scenario, routing_scenario};
 use sentinel_db::prelude::*;
 use sentinel_db::Database;
 use serde::Serialize;
@@ -32,38 +36,49 @@ struct Scenario {
     samples_per_config: usize,
 }
 
+/// Rule work per send in each engine.
 #[derive(Serialize)]
-struct Notifications {
-    baseline_full_fanout: usize,
-    routed: usize,
+struct Checks {
+    /// Rules ADAM scans per send (its whole class table, before and
+    /// after the body).
+    adam_rule_checks: usize,
+    /// Rules the routing index notifies per send.
+    routed_notifications: usize,
 }
 
 #[derive(Serialize)]
 struct Report {
     bench: &'static str,
     scenario: Scenario,
-    notifications_per_occurrence: Notifications,
-    baseline_full_fanout_occ_per_sec: f64,
+    checks_per_send: Checks,
+    adam_occ_per_sec: f64,
     routed_occ_per_sec: f64,
-    speedup: f64,
+    speedup_vs_adam: f64,
 }
 
-/// Round-robin `sends` method invocations on the hot object; returns
-/// elapsed seconds.
-fn drive(db: &mut Database, obj: Oid, names: &[String], sends: usize) -> f64 {
+/// Round-robin `sends` method invocations on the hot object through
+/// `send`; returns elapsed seconds.
+fn drive(mut send: impl FnMut(&str), names: &[String], sends: usize) -> f64 {
     let t0 = Instant::now();
     for i in 0..sends {
-        black_box(db.send(obj, &names[i % names.len()], &[]).unwrap());
+        send(&names[i % names.len()]);
     }
     t0.elapsed().as_secs_f64()
 }
 
 /// Median occurrences/sec over `reps` samples of `sends` each.
-fn measure(db: &mut Database, obj: Oid, names: &[String], sends: usize, reps: usize) -> f64 {
-    drive(db, obj, names, names.len() * 4); // warm up (index build, caches)
-    let mut samples: Vec<f64> = (0..reps).map(|_| drive(db, obj, names, sends)).collect();
+fn measure(mut send: impl FnMut(&str), names: &[String], sends: usize, reps: usize) -> f64 {
+    drive(&mut send, names, names.len() * 4); // warm up (index build, caches)
+    let mut samples: Vec<f64> = (0..reps).map(|_| drive(&mut send, names, sends)).collect();
     samples.sort_by(f64::total_cmp);
     sends as f64 / samples[samples.len() / 2]
+}
+
+/// One round of every method on the hot object.
+fn round(db: &mut Database, obj: Oid, names: &[String]) {
+    for n in names {
+        db.send(obj, n, &[]).unwrap();
+    }
 }
 
 fn main() {
@@ -71,34 +86,44 @@ fn main() {
     let (sends, reps) = if quick { (4_000, 1) } else { (40_000, 5) };
 
     let (mut db, obj, names) = routing_scenario(RULES, METHODS);
+    let (mut adam, adam_obj, adam_names) = adam_routing_scenario(RULES, METHODS);
 
     // Functional check before timing anything: with routing, one full
     // round of the methods notifies each rule exactly once (only the
-    // alphabet-matching watchers hear each occurrence); without it,
-    // every round notifies all RULES subscribers per send.
-    for n in &names {
-        db.send(obj, n, &[]).unwrap();
-    }
+    // alphabet-matching watchers hear each occurrence); ADAM scans all
+    // RULES rules before and after every body and evaluates each rule's
+    // condition once per round.
+    round(&mut db, obj, &names);
     db.reset_stats();
-    for n in &names {
-        db.send(obj, n, &[]).unwrap();
-    }
+    round(&mut db, obj, &names);
     assert_eq!(db.engine_stats().notifications, RULES as u64);
-    db.set_routing_enabled(false);
-    db.reset_stats();
-    for n in &names {
-        db.send(obj, n, &[]).unwrap();
+    for n in &adam_names {
+        adam.send(adam_obj, n, &[]).unwrap();
     }
-    assert_eq!(db.engine_stats().notifications, (RULES * METHODS) as u64);
+    let c = adam.counters();
+    assert_eq!(c.rule_checks, (2 * RULES * METHODS) as u64);
+    assert_eq!(c.condition_evals, RULES as u64);
 
-    db.set_routing_enabled(false);
-    let baseline = measure(&mut db, obj, &names, sends, reps);
-    db.set_routing_enabled(true);
-    let routed = measure(&mut db, obj, &names, sends, reps);
+    let baseline = measure(
+        |m| {
+            black_box(adam.send(adam_obj, m, &[]).unwrap());
+        },
+        &adam_names,
+        sends,
+        reps,
+    );
+    let routed = measure(
+        |m| {
+            black_box(db.send(obj, m, &[]).unwrap());
+        },
+        &names,
+        sends,
+        reps,
+    );
     let speedup = routed / baseline;
 
     println!("dispatch_throughput ({RULES} rules, {METHODS} methods, 1 hot object)");
-    println!("  baseline (full fan-out): {baseline:>12.0} occ/s");
+    println!("  ADAM (class table scan): {baseline:>12.0} occ/s");
     println!("  routed (symbol index):   {routed:>12.0} occ/s");
     println!("  speedup:                 {speedup:>12.2}x");
 
@@ -115,13 +140,13 @@ fn main() {
             sends_per_sample: sends,
             samples_per_config: reps,
         },
-        notifications_per_occurrence: Notifications {
-            baseline_full_fanout: RULES,
-            routed: RULES / METHODS,
+        checks_per_send: Checks {
+            adam_rule_checks: 2 * RULES,
+            routed_notifications: RULES / METHODS,
         },
-        baseline_full_fanout_occ_per_sec: baseline,
+        adam_occ_per_sec: baseline,
         routed_occ_per_sec: routed,
-        speedup,
+        speedup_vs_adam: speedup,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     std::fs::write(path, serde_json::to_string_pretty(&report).unwrap() + "\n").unwrap();

@@ -360,10 +360,9 @@ pub fn dispatch_scenario(kind: DispatchKind) -> (Database, Oid) {
 
 /// Many rules watching one hot object, each for a single one of its
 /// `methods` event methods (rule `i` watches method `i % methods`).
-/// With symbol-keyed routing an occurrence notifies only the
-/// `rules / methods` watchers of its method; with routing disabled every
-/// subscriber of the hot object is notified and the non-matching
-/// detectors reject the occurrence one by one.
+/// Symbol-keyed routing notifies only the `rules / methods` watchers of
+/// the occurrence's method; [`adam_routing_scenario`] is the same rule
+/// set under centralized per-class dispatch.
 pub fn routing_scenario(rules: usize, methods: usize) -> (Database, Oid, Vec<String>) {
     assert!(methods > 0 && rules >= methods);
     let mut db = Database::new();
@@ -394,6 +393,42 @@ pub fn routing_scenario(rules: usize, methods: usize) -> (Database, Oid, Vec<Str
     }
     db.reset_stats();
     (db, obj, names)
+}
+
+/// ADAM twin of [`routing_scenario`]: the same class, methods and rules,
+/// each rule attached to the class and listening to one method's `end`
+/// event (one shared `db-event` per method), with a condition that never
+/// holds. Every send scans the class's whole rule table.
+pub fn adam_routing_scenario(rules: usize, methods: usize) -> (AdamEngine, Oid, Vec<String>) {
+    assert!(methods > 0 && rules >= methods);
+    let mut adam = AdamEngine::new();
+    let names: Vec<String> = (0..methods).map(|i| format!("m{i}")).collect();
+    let mut decl = ClassDecl::new("R");
+    for n in &names {
+        decl = decl.method(n, &[]);
+    }
+    adam.define_class(decl).unwrap();
+    for n in &names {
+        adam.register_method("R", n, |_, _, _| Ok(Value::Null))
+            .unwrap();
+    }
+    let events: Vec<_> = names
+        .iter()
+        .map(|n| adam.define_event(n, EventModifier::End))
+        .collect();
+    for i in 0..rules {
+        adam.add_rule(AdamRuleSpec {
+            name: format!("w{i}"),
+            event: events[i % methods],
+            active_class: "R".into(),
+            condition: Arc::new(|_, _, _| Ok(false)),
+            action: Arc::new(|_, _, _| Ok(())),
+        })
+        .unwrap();
+    }
+    let obj = adam.create("R").unwrap();
+    adam.reset_counters();
+    (adam, obj, names)
 }
 
 // ---------------------------------------------------------------------

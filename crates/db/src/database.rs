@@ -17,8 +17,8 @@ use parking_lot::RwLock;
 use sentinel_analyze::{diff_effects, AnalysisReport, ObservedEffects, RuleAnalyzer};
 use sentinel_events::{EventModifier, PrimitiveOccurrence, TimeMode, TimeSource};
 use sentinel_object::{
-    ClassDecl, ClassId, ClassRegistry, EventSpec, MethodTable, ObjectError, ObjectStore, Oid,
-    Reactivity, Result, TypeTag, Value, World,
+    ClassDecl, ClassId, ClassRegistry, EventSpec, MethodName, MethodTable, ObjectError,
+    ObjectStore, Oid, Reactivity, Result, TypeTag, Value, World,
 };
 use sentinel_rules::{
     ActionDef, ConflictResolver, EngineStats, Firing, Lineage, ReadyFiring, RuleEngine,
@@ -142,7 +142,7 @@ pub struct Database {
 /// executing (a cascade attributes inner raises to the innermost action).
 ///
 /// Observations are interned: a write is `(ClassId, slot)` and a raise
-/// `(ClassId, Arc<str>)`, so recording on the hot write path costs a
+/// `(ClassId, MethodName)`, so recording on the hot write path costs a
 /// set insert — no class-name or attribute-name clone per write. Names
 /// are resolved against the schema only when the record is read back
 /// ([`RawEffects::resolve`]).
@@ -155,7 +155,7 @@ pub(crate) struct EffectRecorder {
 /// Slot-interned observed effects of one action.
 #[derive(Default)]
 pub(crate) struct RawEffects {
-    pub(crate) raises: BTreeSet<(ClassId, Arc<str>)>,
+    pub(crate) raises: BTreeSet<(ClassId, MethodName)>,
     pub(crate) writes: BTreeSet<(ClassId, u32)>,
 }
 
@@ -166,7 +166,7 @@ impl RawEffects {
     pub(crate) fn resolve(&self, registry: &ClassRegistry) -> ObservedEffects {
         let mut out = ObservedEffects::default();
         for (class, method) in &self.raises {
-            out.record_raise(registry.get(*class).name.clone(), method.as_ref());
+            out.record_raise(registry.get(*class).name.clone(), method.as_str());
         }
         for (class, slot) in &self.writes {
             let def = registry.get(*class);
@@ -469,13 +469,6 @@ impl Database {
         self.engine.set_resolver(r);
     }
 
-    /// Toggle the engine's symbol-keyed routing index (on by default).
-    /// Disabling reverts to full per-object fan-out — the baseline the
-    /// `dispatch_throughput` benchmark measures against.
-    pub fn set_routing_enabled(&mut self, enabled: bool) {
-        self.engine.set_routing(enabled);
-    }
-
     // ------------------------------------------------------------------
     // Objects
     // ------------------------------------------------------------------
@@ -696,7 +689,6 @@ impl Database {
         // Occurrences share the method name interned with the class; a
         // send that raises nothing, or passes nothing, shares one empty
         // parameter list.
-        let method_name = name.clone();
         let params: Arc<[Value]> = if espec == EventSpec::None || args.is_empty() {
             Arc::clone(&self.no_params)
         } else {
@@ -708,7 +700,7 @@ impl Database {
                 receiver,
                 class,
                 owner,
-                method_name.clone(),
+                name,
                 EventModifier::Begin,
                 params.clone(),
             )?;
@@ -726,14 +718,7 @@ impl Database {
         };
 
         if espec.end() {
-            self.raise(
-                receiver,
-                class,
-                owner,
-                method_name,
-                EventModifier::End,
-                params,
-            )?;
+            self.raise(receiver, class, owner, name, EventModifier::End, params)?;
         }
         Ok(result)
     }
@@ -763,7 +748,7 @@ impl Database {
         oid: Oid,
         class: ClassId,
         owner: ClassId,
-        method: Arc<str>,
+        method: MethodName,
         modifier: EventModifier,
         params: Arc<[Value]>,
     ) -> Result<()> {
@@ -782,8 +767,7 @@ impl Database {
         });
         if let Some(rec) = &mut self.effect_recorder {
             if let Some(raw) = rec.active_record() {
-                // `Arc<str>` clone is a refcount bump, not a copy.
-                raw.raises.insert((class, occ.method.clone()));
+                raw.raises.insert((class, occ.method));
             }
         }
         if self.telemetry.is_history() {

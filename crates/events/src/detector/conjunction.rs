@@ -50,14 +50,14 @@ pub(super) fn pair_and(
             // an arrival that finds no partner becomes the retained one.
             for l in le.drain(..) {
                 if let Some(r) = rbuf.items.back() {
-                    out.push(CompositeOccurrence::merge(&l, r));
+                    out.push(CompositeOccurrence::merge(l, r));
                 } else {
                     lbuf.retain_only(id, 0, l, env);
                 }
             }
             for r in re.drain(..) {
                 if let Some(l) = lbuf.items.back() {
-                    out.push(CompositeOccurrence::merge(l, &r));
+                    out.push(CompositeOccurrence::merge(l, r));
                 } else {
                     rbuf.retain_only(id, 1, r, env);
                 }
@@ -66,13 +66,13 @@ pub(super) fn pair_and(
         ParamContext::Chronicle => {
             for l in le.drain(..) {
                 match rbuf.pop_front(id, 1, env) {
-                    Some(r) => out.push(CompositeOccurrence::merge(&l, &r)),
+                    Some(r) => out.push(CompositeOccurrence::merge(l, r)),
                     None => lbuf.push(id, 0, l, env),
                 }
             }
             for r in re.drain(..) {
                 match lbuf.pop_front(id, 0, env) {
-                    Some(l) => out.push(CompositeOccurrence::merge(&l, &r)),
+                    Some(l) => out.push(CompositeOccurrence::merge(l, r)),
                     None => rbuf.push(id, 1, r, env),
                 }
             }

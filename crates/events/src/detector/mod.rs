@@ -813,7 +813,7 @@ impl Node {
                 let mut re = env.take_buf();
                 right.process(stim, slots, env, &mut re);
                 let lbuf = &mut slots[*id].bufs()[0];
-                pair_seq(*id, &mut le, &re, lbuf, env, out);
+                pair_seq(*id, &mut le, &mut re, lbuf, env, out);
                 env.give_buf(le);
                 env.give_buf(re);
             }
@@ -930,7 +930,7 @@ impl Node {
                     let prev_open = open.take();
                     if let Some(s) = prev_open.as_ref() {
                         if !*violated {
-                            out.push(CompositeOccurrence::merge(s, &e));
+                            out.push(CompositeOccurrence::merge(s, e));
                         }
                     }
                     env.record(id, NodeUndo::SetOpen { prev: prev_open });
@@ -978,7 +978,7 @@ impl Node {
                 let mut es = env.take_buf();
                 each.process(stim, slots, env, &mut es);
                 if let Some(s) = slots[id].open().0.as_ref() {
-                    out.extend(es.iter().map(|e| CompositeOccurrence::merge(s, e)));
+                    out.extend(es.drain(..).map(|e| CompositeOccurrence::merge(s, e)));
                 }
                 env.give_buf(es);
                 if let Some(s) = env.drive(start, slots, stim, Vec::pop) {

@@ -9,21 +9,21 @@ use super::state::{Buffer, Env, NodeUndo};
 /// Sequence pairing under each parameter context. Only left-side
 /// occurrences are buffered; a right occurrence that finds no earlier
 /// left can never participate later and is discarded. Drains the new
-/// left occurrences `le`, pairs the new right ones `re`, and appends
-/// detections to `out`.
+/// left occurrences `le` and right ones `re`, and appends detections to
+/// `out`.
 pub(super) fn pair_seq(
     id: usize,
     le: &mut Vec<CompositeOccurrence>,
-    re: &[CompositeOccurrence],
+    re: &mut Vec<CompositeOccurrence>,
     lbuf: &mut Buffer,
     env: &mut Env<'_>,
     out: &mut Vec<CompositeOccurrence>,
 ) {
     match env.context {
         ParamContext::Unrestricted => {
-            for r in re.iter() {
+            for r in re.drain(..) {
                 for l in lbuf.items.iter().filter(|l| l.end < r.start) {
-                    out.push(CompositeOccurrence::merge(l, r));
+                    out.push(CompositeOccurrence::merge(l, &r));
                 }
             }
             for l in le.drain(..) {
@@ -31,7 +31,7 @@ pub(super) fn pair_seq(
             }
         }
         ParamContext::Recent => {
-            for r in re.iter() {
+            for r in re.drain(..) {
                 if let Some(l) = lbuf.items.back().filter(|l| l.end < r.start) {
                     out.push(CompositeOccurrence::merge(l, r));
                 }
@@ -41,10 +41,10 @@ pub(super) fn pair_seq(
             }
         }
         ParamContext::Chronicle => {
-            for r in re.iter() {
+            for r in re.drain(..) {
                 if lbuf.items.front().map(|l| l.end < r.start).unwrap_or(false) {
                     let l = lbuf.pop_front(id, 0, env).expect("checked non-empty");
-                    out.push(CompositeOccurrence::merge(&l, r));
+                    out.push(CompositeOccurrence::merge(l, r));
                 }
             }
             for l in le.drain(..) {
@@ -55,10 +55,10 @@ pub(super) fn pair_seq(
             // Each buffered left is an open initiator; a right
             // terminates every strictly earlier one (one detection per
             // initiator) and consumes them.
-            for r in re.iter() {
+            for r in re.drain(..) {
                 if lbuf.items.iter().any(|l| l.end < r.start) {
                     for l in lbuf.items.iter().filter(|l| l.end < r.start) {
-                        out.push(CompositeOccurrence::merge(l, r));
+                        out.push(CompositeOccurrence::merge(l, &r));
                     }
                     if env.journaling() {
                         env.record(
@@ -77,12 +77,13 @@ pub(super) fn pair_seq(
             }
         }
         ParamContext::Cumulative => {
-            for r in re.iter() {
-                if lbuf.items.iter().any(|l| l.end < r.start) {
+            for r in re.drain(..) {
+                let r_start = r.start;
+                if lbuf.items.iter().any(|l| l.end < r_start) {
                     let eligible = CompositeOccurrence::merge_all(
-                        lbuf.items.iter().filter(|l| l.end < r.start),
+                        lbuf.items.iter().filter(|l| l.end < r_start),
                     );
-                    out.push(CompositeOccurrence::merge(&eligible, r));
+                    out.push(CompositeOccurrence::merge(eligible, r));
                     // Journal the pre-retain contents, then consume the
                     // eligible prefix.
                     if env.journaling() {
@@ -94,7 +95,7 @@ pub(super) fn pair_seq(
                             },
                         );
                     }
-                    lbuf.items.retain(|l| l.end >= r.start);
+                    lbuf.items.retain(|l| l.end >= r_start);
                 }
             }
             for l in le.drain(..) {

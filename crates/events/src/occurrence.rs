@@ -12,16 +12,18 @@
 //! these).
 
 use crate::spec::EventModifier;
-use sentinel_object::{ClassId, ClassRegistry, EventSym, Oid, Value};
-use serde::{Deserialize, Serialize};
+use sentinel_object::{ClassId, ClassRegistry, EventSym, MethodName, Oid, Value};
+use serde::{Content, Deserialize, Error, Serialize};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// One generated primitive event.
 ///
-/// `method` and `params` are reference-counted: an occurrence is fanned
-/// out to every subscribed consumer (paper Figure 2), so clones must be
-/// cheap.
+/// An occurrence is fanned out to every subscribed consumer (paper
+/// Figure 2), so clones must be cheap: `method` is an interned `Copy`
+/// handle and `params` is reference-counted, so a clone costs one
+/// refcount.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PrimitiveOccurrence {
     /// Logical timestamp (strictly increasing database-wide).
@@ -33,8 +35,8 @@ pub struct PrimitiveOccurrence {
     /// Class that *defines* the resolved method (differs from `class`
     /// when the method is inherited).
     pub owner: ClassId,
-    /// Method name.
-    pub method: Arc<str>,
+    /// Method name, interned when the class was defined.
+    pub method: MethodName,
     /// begin-of-method or end-of-method.
     pub modifier: EventModifier,
     /// Actual arguments of the message.
@@ -72,12 +74,119 @@ impl fmt::Display for PrimitiveOccurrence {
     }
 }
 
+/// The constituent primitive occurrences of a composite occurrence, in
+/// detection order.
+///
+/// Most occurrences a detector keeps are leaf matches with exactly one
+/// constituent, so a lone constituent is held inline and only two or
+/// more take a `Vec`. Reads go through the slice (`Deref`); equality
+/// compares slices, so the representation is never observable, and it
+/// serializes as a plain array.
+#[derive(Clone, Default)]
+pub struct Constituents(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One(PrimitiveOccurrence),
+    Many(Vec<PrimitiveOccurrence>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Many(Vec::new())
+    }
+}
+
+impl Constituents {
+    /// Room for `n` constituents: a `Vec` only when `n` is two or more.
+    fn with_capacity(n: usize) -> Self {
+        match n {
+            0 | 1 => Self::default(),
+            _ => Constituents(Repr::Many(Vec::with_capacity(n))),
+        }
+    }
+
+    /// Append one constituent. An empty list without reserved room takes
+    /// it inline.
+    fn push(&mut self, p: PrimitiveOccurrence) {
+        match &mut self.0 {
+            Repr::Many(v) if v.is_empty() && v.capacity() == 0 => self.0 = Repr::One(p),
+            Repr::Many(v) => v.push(p),
+            Repr::One(_) => {
+                let Repr::One(first) = std::mem::take(&mut self.0) else {
+                    unreachable!("matched One above");
+                };
+                self.0 = Repr::Many(vec![first, p]);
+            }
+        }
+    }
+}
+
+impl Deref for Constituents {
+    type Target = [PrimitiveOccurrence];
+
+    fn deref(&self) -> &[PrimitiveOccurrence] {
+        match &self.0 {
+            Repr::One(p) => std::slice::from_ref(p),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Constituents {
+    type Item = &'a PrimitiveOccurrence;
+    type IntoIter = std::slice::Iter<'a, PrimitiveOccurrence>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<PrimitiveOccurrence>> for Constituents {
+    fn from(mut v: Vec<PrimitiveOccurrence>) -> Self {
+        match v.len() {
+            1 => Constituents(Repr::One(v.pop().expect("length checked"))),
+            _ => Constituents(Repr::Many(v)),
+        }
+    }
+}
+
+impl From<PrimitiveOccurrence> for Constituents {
+    fn from(p: PrimitiveOccurrence) -> Self {
+        Constituents(Repr::One(p))
+    }
+}
+
+impl PartialEq for Constituents {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Constituents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Constituents {
+    fn to_content(&self) -> Content {
+        Content::Array(self.iter().map(Serialize::to_content).collect())
+    }
+}
+
+impl Deserialize for Constituents {
+    fn from_content(v: &Content) -> Result<Self, Error> {
+        Vec::<PrimitiveOccurrence>::from_content(v).map(Constituents::from)
+    }
+}
+
 /// An occurrence of a (possibly composite) event: the constituent
 /// primitive occurrences plus the occurrence interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompositeOccurrence {
     /// Constituents in detection order.
-    pub constituents: Vec<PrimitiveOccurrence>,
+    pub constituents: Constituents,
     /// Timestamp of the earliest constituent.
     pub start: u64,
     /// Timestamp of the latest constituent — the detection time.
@@ -89,33 +198,40 @@ impl CompositeOccurrence {
     pub fn from_primitive(p: PrimitiveOccurrence) -> Self {
         let at = p.at;
         CompositeOccurrence {
-            constituents: vec![p],
+            constituents: p.into(),
             start: at,
             end: at,
         }
     }
 
-    /// Merge two occurrences into one (conjunction/sequence emission).
-    pub fn merge(a: &CompositeOccurrence, b: &CompositeOccurrence) -> Self {
-        let mut constituents = Vec::with_capacity(a.constituents.len() + b.constituents.len());
-        constituents.extend(a.constituents.iter().cloned());
-        constituents.extend(b.constituents.iter().cloned());
+    /// Merge two occurrences into one (conjunction/sequence emission):
+    /// `a`'s constituents, then `b`'s. A borrowed operand is cloned into
+    /// the result and an owned one is moved, so a detector passes the
+    /// occurrence that just arrived by value and the buffered one by
+    /// reference.
+    pub fn merge(a: impl MergeOperand, b: impl MergeOperand) -> Self {
+        let (ea, eb) = (a.occurrence(), b.occurrence());
+        let (start, end) = (ea.start.min(eb.start), ea.end.max(eb.end));
+        let mut constituents =
+            Constituents::with_capacity(ea.constituents.len() + eb.constituents.len());
+        a.append_to(&mut constituents);
+        b.append_to(&mut constituents);
         CompositeOccurrence {
             constituents,
-            start: a.start.min(b.start),
-            end: a.end.max(b.end),
+            start,
+            end,
         }
     }
 
     /// Merge many occurrences (cumulative context, `any` operator).
     pub fn merge_all<'a>(occs: impl IntoIterator<Item = &'a CompositeOccurrence>) -> Self {
         let mut out = CompositeOccurrence {
-            constituents: Vec::new(),
+            constituents: Constituents::default(),
             start: u64::MAX,
             end: 0,
         };
         for o in occs {
-            out.constituents.extend(o.constituents.iter().cloned());
+            o.append_to(&mut out.constituents);
             out.start = out.start.min(o.start);
             out.end = out.end.max(o.end);
         }
@@ -137,6 +253,41 @@ impl CompositeOccurrence {
     /// detection, under every context).
     pub fn last(&self) -> Option<&PrimitiveOccurrence> {
         self.constituents.iter().max_by_key(|c| c.at)
+    }
+}
+
+/// An operand of [`CompositeOccurrence::merge`]: a borrowed occurrence
+/// contributes clones of its constituents, an owned one moves them.
+pub trait MergeOperand {
+    /// The occurrence being merged.
+    fn occurrence(&self) -> &CompositeOccurrence;
+
+    /// Append this operand's constituents to `out`.
+    fn append_to(self, out: &mut Constituents);
+}
+
+impl MergeOperand for &CompositeOccurrence {
+    fn occurrence(&self) -> &CompositeOccurrence {
+        self
+    }
+
+    fn append_to(self, out: &mut Constituents) {
+        for p in &self.constituents {
+            out.push(p.clone());
+        }
+    }
+}
+
+impl MergeOperand for CompositeOccurrence {
+    fn occurrence(&self) -> &CompositeOccurrence {
+        self
+    }
+
+    fn append_to(self, out: &mut Constituents) {
+        match self.constituents.0 {
+            Repr::One(p) => out.push(p),
+            Repr::Many(v) => v.into_iter().for_each(|p| out.push(p)),
+        }
     }
 }
 
@@ -169,8 +320,8 @@ mod tests {
     #[test]
     fn constituent_lookup() {
         let m = CompositeOccurrence::merge(
-            &CompositeOccurrence::from_primitive(prim(1, 10, "SetPrice")),
-            &CompositeOccurrence::from_primitive(prim(2, 20, "SetValue")),
+            CompositeOccurrence::from_primitive(prim(1, 10, "SetPrice")),
+            CompositeOccurrence::from_primitive(prim(2, 20, "SetValue")),
         );
         assert_eq!(m.constituent_of(Oid(10)).unwrap().at, 1);
         assert_eq!(m.constituent_for_method("SetValue").unwrap().at, 2);
@@ -188,5 +339,48 @@ mod tests {
         let m = CompositeOccurrence::merge_all(&occs);
         assert_eq!((m.start, m.end), (2, 7));
         assert_eq!(m.constituents.len(), 3);
+    }
+
+    #[test]
+    fn owned_and_borrowed_operands_merge_alike() {
+        let (a, b) = (
+            CompositeOccurrence::from_primitive(prim(1, 1, "A")),
+            CompositeOccurrence::from_primitive(prim(2, 2, "B")),
+        );
+        let by_ref = CompositeOccurrence::merge(&a, &b);
+        let ab = CompositeOccurrence::merge(a.clone(), &b);
+        assert_eq!(ab, by_ref);
+        assert_eq!(CompositeOccurrence::merge(&a, b.clone()), by_ref);
+        // Composite operands keep detection order when moved.
+        let c = CompositeOccurrence::from_primitive(prim(3, 3, "C"));
+        let abc = CompositeOccurrence::merge(ab, c.clone());
+        let ats: Vec<u64> = abc.constituents.iter().map(|p| p.at).collect();
+        assert_eq!(ats, [1, 2, 3]);
+        let cab = CompositeOccurrence::merge(c, by_ref);
+        let ats: Vec<u64> = cab.constituents.iter().map(|p| p.at).collect();
+        assert_eq!(ats, [3, 1, 2]);
+    }
+
+    #[test]
+    fn representation_is_invisible_to_equality_and_serde() {
+        let p = prim(4, 1, "A");
+        let inline = Constituents::from(p.clone());
+        let mut spilled = Constituents::with_capacity(2);
+        spilled.push(p.clone());
+        assert!(matches!(spilled.0, Repr::Many(_)));
+        assert_eq!(inline, spilled);
+        assert_eq!(Constituents::from(vec![p.clone()]), inline);
+        assert!(matches!(Constituents::from(vec![p]).0, Repr::One(_)));
+
+        let json = serde_json::to_string(&spilled).unwrap();
+        assert_eq!(json, serde_json::to_string(&inline).unwrap());
+        assert!(json.starts_with("[{") && json.ends_with("}]"));
+        let back: Constituents = serde_json::from_str(&json).unwrap();
+        assert!(matches!(back.0, Repr::One(_)));
+        assert_eq!(back, inline);
+        assert_eq!(
+            serde_json::to_string(&Constituents::default()).unwrap(),
+            "[]"
+        );
     }
 }

@@ -27,6 +27,7 @@
 
 pub mod error;
 pub mod hash;
+pub mod intern;
 pub mod method;
 pub mod object;
 pub mod oid;
@@ -37,6 +38,7 @@ pub mod world;
 
 pub use error::{ObjectError, Result};
 pub use hash::{FastMap, FastSet};
+pub use intern::MethodName;
 pub use method::{MethodTable, NativeFn};
 pub use object::ObjectState;
 pub use oid::{Oid, OidGenerator};

@@ -12,6 +12,7 @@
 
 use crate::error::{ObjectError, Result};
 use crate::hash::FastMap;
+use crate::intern::MethodName;
 use crate::schema::{ClassId, ClassRegistry, MethodDef};
 use crate::value::Value;
 use crate::world::World;
@@ -90,7 +91,7 @@ impl MethodTable {
         class: ClassId,
         method: &str,
         args: &[Value],
-    ) -> Result<(ClassId, &'r MethodDef, &'r Arc<str>, NativeFn)> {
+    ) -> Result<(ClassId, &'r MethodDef, MethodName, NativeFn)> {
         let (owner, def, name) = registry.resolve_method_named(class, method)?;
         if def.params.len() != args.len() {
             return Err(ObjectError::ArityMismatch {

@@ -20,10 +20,10 @@
 
 use crate::error::{ObjectError, Result};
 use crate::hash::FastMap;
+use crate::intern::MethodName;
 use crate::value::{TypeTag, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Index of a class inside a [`ClassRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -312,7 +312,7 @@ pub struct ClassDef {
     pub own_methods: Vec<MethodDef>,
     /// `own_methods`' names, interned once at definition: occurrences
     /// share them instead of copying the name per send.
-    method_names: Vec<Arc<str>>,
+    method_names: Vec<MethodName>,
     /// C3 linearization, starting with this class.
     pub linearization: Vec<ClassId>,
     /// Effective instance layout: all slots, inherited first (base-to-
@@ -520,7 +520,7 @@ impl ClassRegistry {
             method_names: decl
                 .methods
                 .iter()
-                .map(|m| Arc::from(m.name.as_str()))
+                .map(|m| MethodName::intern(&m.name))
                 .collect(),
             own_methods: decl.methods,
             linearization,
@@ -589,12 +589,12 @@ impl ClassRegistry {
         &self,
         class: ClassId,
         method: &str,
-    ) -> Result<(ClassId, &MethodDef, &Arc<str>)> {
+    ) -> Result<(ClassId, &MethodDef, MethodName)> {
         let c = self.get(class);
         match c.method_index.get(method) {
             Some(&(owner, idx)) => {
                 let o = self.get(owner);
-                Ok((owner, &o.own_methods[idx], &o.method_names[idx]))
+                Ok((owner, &o.own_methods[idx], o.method_names[idx]))
             }
             None => Err(ObjectError::UnknownMethod {
                 class: c.name.clone(),

@@ -73,7 +73,7 @@ mod tests {
                 rule: RuleId(id),
                 rule_name: format!("r{id}").into(),
                 occurrence: CompositeOccurrence {
-                    constituents: vec![],
+                    constituents: Default::default(),
                     start: id,
                     end: id,
                 },

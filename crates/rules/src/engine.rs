@@ -189,18 +189,6 @@ impl RoutingIndex {
     }
 }
 
-/// Append `list` to `out`, skipping rules already present. Fan-outs are
-/// small, so a linear scan beats hashing and allocates nothing.
-fn push_unique(out: &mut Vec<RuleId>, list: Option<&Vec<RuleId>>) {
-    if let Some(list) = list {
-        for &r in list {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-    }
-}
-
 /// Route one ready firing to its coupling destination — the immediate
 /// batch, the deferred queue, or the (bounded) detached queue. Shared by
 /// the occurrence path and the timer-drain path; takes the queues as
@@ -294,12 +282,17 @@ pub struct RuleEngine {
     /// firings earlier committed transactions already queued.
     detached_floor: usize,
     stats: Arc<EngineCounters>,
+    /// The consumers of the occurrence being delivered, copied out of the
+    /// routing index (a rule can appear more than once); reused.
     scratch: Vec<RuleId>,
     /// Lazily built `(target, symbol)` dispatch index; `None` until the
-    /// first routed occurrence and after [`set_routing`](Self::set_routing)
-    /// disables it.
+    /// first occurrence.
     routing: Option<RoutingIndex>,
-    routing_enabled: bool,
+    /// Stamp of the occurrence being delivered, bumped once per
+    /// occurrence. A rule records the stamp of its last delivery, so a
+    /// rule listed twice in the consumers (subscribed to an object and
+    /// to its class) is notified once, in O(1).
+    delivery: u64,
     /// Bumped on rule add/remove/enable/disable — the rule-side half of
     /// the routing index's validity stamp.
     epoch: u64,
@@ -373,7 +366,7 @@ impl RuleEngine {
             stats: Arc::new(EngineCounters::default()),
             scratch: Vec::new(),
             routing: None,
-            routing_enabled: true,
+            delivery: 0,
             epoch: 0,
             capturing: false,
             capture: Vec::new(),
@@ -415,22 +408,6 @@ impl RuleEngine {
     /// the next occurrence roots a fresh cascade.
     pub fn set_lineage_context(&mut self, ctx: Option<(u64, u64, u32)>) {
         self.lineage_ctx = ctx;
-    }
-
-    /// Turn the `(target, symbol)` routing index on or off. On by
-    /// default; disabling falls back to full per-object fan-out (every
-    /// subscriber of the generating object is notified) — the baseline
-    /// the `dispatch_throughput` benchmark compares against.
-    pub fn set_routing(&mut self, enabled: bool) {
-        self.routing_enabled = enabled;
-        if !enabled {
-            self.routing = None;
-        }
-    }
-
-    /// Is symbol-keyed routing enabled?
-    pub fn routing_enabled(&self) -> bool {
-        self.routing_enabled
     }
 
     /// Attach an observability handle; it is propagated to every
@@ -777,11 +754,13 @@ impl RuleEngine {
     /// raises. Steady-state delivery allocates nothing per notified rule
     /// beyond the occurrences its detector keeps.
     ///
-    /// With routing enabled (the default) and the occurrence carrying an
-    /// interned symbol, only subscribers whose detector alphabet contains
-    /// that symbol are notified. Symbol-less occurrences (methods outside
-    /// the declared schema) and disabled routing fall back to notifying
-    /// every subscriber of the generating object.
+    /// An occurrence carrying an interned symbol notifies only the
+    /// subscribers whose detector alphabet contains that symbol, plus
+    /// the broad (alphabet-unbounded) subscribers. A symbol-less
+    /// occurrence (a method outside the declared schema) can advance no
+    /// leaf, so it reaches only the broad subscribers. Each rule is
+    /// notified at most once per occurrence, however many of its
+    /// subscriptions match.
     pub fn on_occurrence_into(
         &mut self,
         registry: &ClassRegistry,
@@ -795,26 +774,23 @@ impl RuleEngine {
         };
         let sym = occ.sym(registry);
         self.completions.clear();
+        if !self.routing_fresh(registry) {
+            self.rebuild_routing(registry);
+        }
+        let idx = self.routing.as_ref().expect("routing index just built");
         let mut consumers = std::mem::take(&mut self.scratch);
         consumers.clear();
-        match (self.routing_enabled, sym) {
-            (true, Some(s)) => {
-                if !self.routing_fresh(registry) {
-                    self.rebuild_routing(registry);
-                }
-                let idx = self.routing.as_ref().expect("routing index just built");
-                push_unique(&mut consumers, idx.by_object.get(&(occ.oid, s)));
-                push_unique(&mut consumers, idx.broad_by_object.get(&occ.oid));
-                push_unique(&mut consumers, idx.by_class_sym.get(&s));
-                if !idx.broad_by_class.is_empty() {
-                    for &c in &registry.get(occ.class).linearization {
-                        push_unique(&mut consumers, idx.broad_by_class.get(&c));
-                    }
-                }
+        let mut add = |list: Option<&Vec<RuleId>>| {
+            if let Some(list) = list {
+                consumers.extend_from_slice(list);
             }
-            _ => {
-                self.subscriptions
-                    .consumers(registry, occ.oid, occ.class, &mut consumers);
+        };
+        add(sym.and_then(|s| idx.by_object.get(&(occ.oid, s))));
+        add(idx.broad_by_object.get(&occ.oid));
+        add(sym.and_then(|s| idx.by_class_sym.get(&s)));
+        if !idx.broad_by_class.is_empty() {
+            for &c in &registry.get(occ.class).linearization {
+                add(idx.broad_by_class.get(&c));
             }
         }
 
@@ -823,13 +799,15 @@ impl RuleEngine {
             // One instant for the whole fan-out: every rule's windows see
             // the same "now" for the same occurrence.
             let now = self.time.as_ref().map_or(occ.at, |t| t.instant_now());
+            self.delivery += 1;
             for &rid in &consumers {
                 let Some(rule) = self.rules.get_mut(&rid) else {
                     continue; // stale subscription of a deleted rule
                 };
-                if !rule.enabled {
+                if !rule.enabled || rule.delivered == self.delivery {
                     continue;
                 }
+                rule.delivered = self.delivery;
                 EngineCounters::bump(&self.stats.notifications);
                 rule.stats.notifications += 1;
                 if self.capturing && !rule.detector.in_txn() {

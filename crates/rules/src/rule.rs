@@ -214,6 +214,9 @@ pub struct Rule {
     pub detector: DetectorInstance,
     /// Firing counters.
     pub stats: RuleStats,
+    /// The engine's delivery stamp of the last occurrence delivered to
+    /// this rule (the engine's per-occurrence dedup).
+    pub(crate) delivered: u64,
     /// The detector's primitive-event alphabet: the interned symbols that
     /// can advance it, closed over subclasses. `None` means unbounded
     /// (the expression contains `Plus`, whose deadline is signalled by
@@ -267,6 +270,7 @@ impl Rule {
             enabled: true,
             detector,
             stats: RuleStats::default(),
+            delivered: 0,
             alphabet,
             alphabet_schema_len: registry.len(),
             cached_condition: None,

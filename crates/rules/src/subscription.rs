@@ -19,7 +19,7 @@
 //!   O(instances) (experiment E10).
 
 use crate::rule::RuleId;
-use sentinel_object::{ClassId, ClassRegistry, Oid};
+use sentinel_object::{ClassId, Oid};
 use std::collections::{HashMap, HashSet};
 
 /// Consumer lists at instance and class granularity.
@@ -133,38 +133,6 @@ impl SubscriptionManager {
         self.by_class.get(&class).map(Vec::as_slice)
     }
 
-    /// The consumers to notify when `object` (of dynamic class `class`)
-    /// generates an event: its instance subscribers plus the class
-    /// subscribers of every class in its linearization, deduplicated in
-    /// subscription order.
-    ///
-    /// `out` doubles as the seen-list: fan-outs are small, so one linear
-    /// `contains` scan per class subscriber beats allocating a `HashSet`
-    /// per event. Instance lists are duplicate-free by construction
-    /// (idempotent insert), so only the class loop needs the scan — which
-    /// also catches a rule subscribed both to the object and its class.
-    pub fn consumers(
-        &self,
-        registry: &ClassRegistry,
-        object: Oid,
-        class: ClassId,
-        out: &mut Vec<RuleId>,
-    ) {
-        out.clear();
-        if let Some(v) = self.by_object.get(&object) {
-            out.extend_from_slice(v);
-        }
-        for &c in &registry.get(class).linearization {
-            if let Some(v) = self.by_class.get(&c) {
-                for &r in v {
-                    if !out.contains(&r) {
-                        out.push(r);
-                    }
-                }
-            }
-        }
-    }
-
     /// The objects a rule is subscribed to (unspecified order).
     pub fn objects_of(&self, rule: RuleId) -> Vec<Oid> {
         self.objects_of
@@ -201,20 +169,22 @@ impl SubscriptionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_object::ClassDecl;
 
-    fn registry() -> (ClassRegistry, ClassId, ClassId) {
-        let mut reg = ClassRegistry::new();
-        let emp = reg.define(ClassDecl::reactive("Employee")).unwrap();
-        let mgr = reg
-            .define(ClassDecl::reactive("Manager").parent("Employee"))
-            .unwrap();
-        (reg, emp, mgr)
+    fn object_list(subs: &SubscriptionManager, object: Oid) -> Vec<RuleId> {
+        subs.object_lists()
+            .find(|&(o, _)| o == object)
+            .map(|(_, v)| v.to_vec())
+            .unwrap_or_default()
+    }
+
+    fn class_list(subs: &SubscriptionManager, class: ClassId) -> Vec<RuleId> {
+        subs.class_list(class)
+            .map(<[_]>::to_vec)
+            .unwrap_or_default()
     }
 
     #[test]
-    fn instance_subscription_delivery() {
-        let (reg, emp, _) = registry();
+    fn instance_subscriptions_keep_subscription_order() {
         let mut subs = SubscriptionManager::new();
         let fred = Oid(1);
         let mike = Oid(2);
@@ -222,58 +192,31 @@ mod tests {
         subs.subscribe_object(fred, RuleId(11));
         subs.subscribe_object(mike, RuleId(11));
 
-        let mut out = Vec::new();
-        subs.consumers(&reg, fred, emp, &mut out);
-        assert_eq!(out, vec![RuleId(10), RuleId(11)]);
-        subs.consumers(&reg, mike, emp, &mut out);
-        assert_eq!(out, vec![RuleId(11)]);
-        subs.consumers(&reg, Oid(99), emp, &mut out);
-        assert!(out.is_empty());
+        assert_eq!(object_list(&subs, fred), vec![RuleId(10), RuleId(11)]);
+        assert_eq!(object_list(&subs, mike), vec![RuleId(11)]);
+        assert!(object_list(&subs, Oid(99)).is_empty());
+        let mut objs = subs.objects_of(RuleId(11));
+        objs.sort();
+        assert_eq!(objs, vec![fred, mike]);
     }
 
     #[test]
     fn subscription_is_idempotent() {
-        let (reg, emp, _) = registry();
         let mut subs = SubscriptionManager::new();
         subs.subscribe_object(Oid(1), RuleId(1));
+        let gen = subs.generation();
         subs.subscribe_object(Oid(1), RuleId(1));
-        let mut out = Vec::new();
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(subs.edge_count(), 1);
-    }
-
-    #[test]
-    fn class_subscription_covers_subclasses() {
-        let (reg, emp, mgr) = registry();
-        let mut subs = SubscriptionManager::new();
-        subs.subscribe_class(emp, RuleId(7));
-        let mut out = Vec::new();
-        // An event from a Manager instance reaches the Employee-level rule.
-        subs.consumers(&reg, Oid(5), mgr, &mut out);
-        assert_eq!(out, vec![RuleId(7)]);
-        // A rule on Manager does not hear plain Employees.
-        subs.subscribe_class(mgr, RuleId(8));
-        subs.consumers(&reg, Oid(6), emp, &mut out);
-        assert_eq!(out, vec![RuleId(7)]);
-        subs.consumers(&reg, Oid(5), mgr, &mut out);
-        assert_eq!(out, vec![RuleId(8), RuleId(7)]);
-    }
-
-    #[test]
-    fn object_plus_class_subscription_delivers_once() {
-        let (reg, emp, _) = registry();
-        let mut subs = SubscriptionManager::new();
-        subs.subscribe_object(Oid(1), RuleId(3));
-        subs.subscribe_class(emp, RuleId(3));
-        let mut out = Vec::new();
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert_eq!(out, vec![RuleId(3)]);
+        subs.subscribe_class(ClassId(0), RuleId(1));
+        subs.subscribe_class(ClassId(0), RuleId(1));
+        assert_eq!(object_list(&subs, Oid(1)), vec![RuleId(1)]);
+        assert_eq!(class_list(&subs, ClassId(0)), vec![RuleId(1)]);
+        assert_eq!(subs.edge_count(), 2);
+        assert_eq!(subs.generation(), gen + 1, "only the class edge was new");
     }
 
     #[test]
     fn unsubscribe_and_remove() {
-        let (reg, emp, _) = registry();
+        let emp = ClassId(0);
         let mut subs = SubscriptionManager::new();
         subs.subscribe_object(Oid(1), RuleId(1));
         subs.subscribe_object(Oid(2), RuleId(1));
@@ -281,29 +224,25 @@ mod tests {
         assert_eq!(subs.edge_count(), 3);
 
         subs.unsubscribe_object(Oid(1), RuleId(1));
-        let mut out = Vec::new();
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert_eq!(out, vec![RuleId(1)], "class subscription still applies");
+        assert!(object_list(&subs, Oid(1)).is_empty());
+        assert_eq!(class_list(&subs, emp), vec![RuleId(1)]);
         subs.unsubscribe_class(emp, RuleId(1));
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert!(out.is_empty());
+        assert!(class_list(&subs, emp).is_empty());
+        assert_eq!(subs.class_subscription_count(RuleId(1)), 0);
 
         subs.subscribe_object(Oid(3), RuleId(1));
         subs.remove_rule(RuleId(1));
-        subs.consumers(&reg, Oid(3), emp, &mut out);
-        assert!(out.is_empty());
+        assert!(object_list(&subs, Oid(3)).is_empty());
+        assert!(object_list(&subs, Oid(2)).is_empty());
         assert_eq!(subs.edge_count(), 0);
     }
 
     #[test]
     fn remove_object_clears_its_consumer_list() {
-        let (reg, emp, _) = registry();
         let mut subs = SubscriptionManager::new();
         subs.subscribe_object(Oid(1), RuleId(1));
         subs.remove_object(Oid(1));
-        let mut out = Vec::new();
-        subs.consumers(&reg, Oid(1), emp, &mut out);
-        assert!(out.is_empty());
+        assert!(object_list(&subs, Oid(1)).is_empty());
         assert_eq!(subs.object_subscription_count(RuleId(1)), 0);
     }
 }

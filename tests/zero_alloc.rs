@@ -11,8 +11,9 @@
 //! is ever built.
 //!
 //! The send path has the budget of DESIGN.md §12: a passive send
-//! allocates nothing, and a reactive send allocates, per notified rule,
-//! only the occurrences the rule's detector keeps.
+//! allocates nothing, and a reactive send allocates its parameter list
+//! (if it has arguments) and nothing per notified rule that does not
+//! complete, whatever the fan-out.
 
 use sentinel_db::prelude::*;
 use sentinel_db::Database;
@@ -150,10 +151,12 @@ fn steady_state_passive_send_does_not_allocate() {
 
 /// A reactive `Tick` source plus `rules` `Recent` conjunctions of its
 /// `Tick` with a `Ping` that is never sent: every tick reaches every
-/// rule and none completes. Returns allocations per argument-less send.
-fn reactive_fanout_allocs(rules: usize) -> f64 {
+/// rule and none completes. `Tick` declares one `Int` parameter per
+/// argument in `args`. Returns allocations per send.
+fn reactive_fanout_allocs(rules: usize, args: &[Value]) -> f64 {
+    let params: Vec<(&str, TypeTag)> = args.iter().map(|_| ("v", TypeTag::Int)).collect();
     let mut db = Database::new();
-    db.define_class(ClassDecl::reactive("S").event_method("Tick", &[], EventSpec::End))
+    db.define_class(ClassDecl::reactive("S").event_method("Tick", &params, EventSpec::End))
         .unwrap();
     db.define_class(ClassDecl::reactive("Q").event_method("Ping", &[], EventSpec::End))
         .unwrap();
@@ -168,19 +171,27 @@ fn reactive_fanout_allocs(rules: usize) -> f64 {
             .unwrap();
         db.subscribe(s, &name).unwrap();
     }
-    allocs_per_send(&mut db, s, "Tick", &[])
+    allocs_per_send(&mut db, s, "Tick", args)
 }
 
 #[test]
 fn reactive_fanout_allocates_only_the_kept_occurrences() {
-    // Per notified rule the budget is the one constituent its leaf
-    // match keeps (the retained `Tick` is replaced in place); the
-    // capture list, journals, operand buffers and firing buffer are all
-    // pooled, so there is no per-notification `Vec` growth.
-    let one = reactive_fanout_allocs(1);
-    let eight = reactive_fanout_allocs(8);
-    assert!(
-        eight <= one + 8.0,
-        "8 subscribers: {eight} allocations per send; 1 subscriber: {one}"
-    );
+    // A notified rule that does not complete allocates nothing: its leaf
+    // match keeps the occurrence inline (one `params` refcount), the
+    // retained `Tick` is replaced in place, and the capture list,
+    // journals, operand buffers and firing buffer are pooled. So the
+    // fan-out does not change the count; an argument-less send shares
+    // the empty parameter list, and a send with an argument allocates
+    // exactly its parameter list.
+    for (args, expected) in [(&[][..], 0.0), (&[Value::Int(7)][..], 1.0)] {
+        for rules in [1, 8, 256] {
+            let per_send = reactive_fanout_allocs(rules, args);
+            assert_eq!(
+                per_send,
+                expected,
+                "{rules} subscribers, {} argument(s): {per_send} allocations per send",
+                args.len()
+            );
+        }
+    }
 }
